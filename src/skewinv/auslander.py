@@ -13,11 +13,18 @@ Three exact paths compute the same dimensions:
    an edge/union-find computation: in the {G_l, H_l} basis of kG every
    spanning vector has exactly two nonzero entries with +-w^e coefficients.
 The fast paths are cross-checked against the generic one in the tests.
+
+Each path yields one exact rank per degree, and `ideal_dims` stops reading at
+the first full degree s, where I_s = (A # G)_s.  That is a proof, not a
+window: A is generated in degree 1 and the ideal is two-sided, so
+I_(s+1) contains A_1 * I_s = (A # G)_(s+1), and by induction every degree
+past s is full.  So (A # G)/<seed> lives in degrees below s.  With seed gbar,
+a full degree proves that (A # G)/<gbar> is finite-dimensional, which gives
+the Auslander isomorphism (Bao, He and Zhang, J. Noncommut. Geom. 2019).
 """
 
 from __future__ import annotations
 
-import time
 from math import gcd
 
 from .errors import ParameterError
@@ -234,7 +241,12 @@ def _smash_degree(x: SmashElt) -> int | None:
 
 
 def ideal_dims(spec: AlgebraSpec, G: GroupSpec, seed: SmashElt, N: int) -> dict:
-    """Per-degree {ideal_dim, ambient_dim} of the two-sided ideal of seed."""
+    """Per-degree {ideal_dim, ambient_dim} of the two-sided ideal I of seed.
+
+    Slices are computed only up to the first full degree s (I_s = (A # G)_s);
+    the degrees past it are full by proof, since A is generated in degree 1
+    and I_(d+1) contains A_1 * I_d, which is (A # G)_(d+1) once I_d is full.
+    """
     if spec != G.ambient:
         raise ParameterError("ideal_dims needs the group's own ambient algebra")
     ctx = smash_context(G)
@@ -243,46 +255,42 @@ def ideal_dims(spec: AlgebraSpec, G: GroupSpec, seed: SmashElt, N: int) -> dict:
     e = _smash_degree(seed)
     if e is None:
         raise ParameterError("seed must be homogeneous (gbar has degree 0)")
-    t0 = time.time()
-    if seed == gbar(G):
-        v = G.variant
-        if isinstance(v, CyclicDiag) and spec.is_quantum:
-            dims = _ideal_dims_cyclic_counting(spec, v, N)
-            return _package(dims, ctx.order, N, t0, method="character_counting")
-        if (
-            isinstance(v, Gnk)
-            and v.n % 2 == 1
-            and gcd(v.n, v.k) == 1
-            and ctx.order == 2 * v.n * v.k
-        ):
-            dims = _ideal_dims_gnk_graph(v.n, v.k, N)
-            return _package(dims, ctx.order, N, t0, method="gh_basis_graph")
-    dims = _ideal_dims_generic(spec, ctx, seed, e, N)
-    return _package(dims, ctx.order, N, t0, method="generic_span")
+    v = G.variant
+    is_gbar = seed == gbar(G)
+    if is_gbar and isinstance(v, CyclicDiag) and spec.is_quantum:
+        method, ranks = "character_counting", _ideal_dims_cyclic_counting(spec, v, N)
+    elif (
+        is_gbar
+        and isinstance(v, Gnk)
+        and v.n % 2 == 1
+        and gcd(v.n, v.k) == 1
+        and ctx.order == 2 * v.n * v.k
+    ):
+        method, ranks = "gh_basis_graph", _ideal_dims_gnk_graph(v.n, v.k, N)
+    else:
+        method, ranks = "generic_span", _ideal_dims_generic(spec, ctx, seed, e, N)
+    dims = []
+    for d, rank in enumerate(ranks):
+        dims.append(rank)
+        if rank == ctx.order * (d + 1):
+            break
+    per_degree = []
+    for d in range(N + 1):
+        ambient = ctx.order * (d + 1)
+        ideal = dims[d] if d < len(dims) else ambient
+        per_degree.append({"degree": d, "ideal_dim": ideal, "ambient_dim": ambient})
+    return {"N": N, "method": method, "per_degree": per_degree}
 
 
-def _package(dims: list[int], order: int, N: int, t0: float, method: str) -> dict:
-    per_degree = [
-        {"degree": d, "ideal_dim": dims[d], "ambient_dim": order * (d + 1)}
-        for d in range(N + 1)
-    ]
-    return {
-        "N": N,
-        "method": method,
-        "per_degree": per_degree,
-        "wall_time_s": round(time.time() - t0, 6),
-    }
-
-
-def _ideal_dims_cyclic_counting(spec: AlgebraSpec, v: CyclicDiag, N: int) -> list[int]:
-    """Diagonal cyclic group, quantum plane, seed gbar.
+def _ideal_dims_cyclic_counting(spec: AlgebraSpec, v: CyclicDiag, N: int):
+    """Diagonal cyclic group, quantum plane, seed gbar: yields the rank of I_d
+    for 0 <= d <= N.
 
     gbar * u^p2 v^r2 = u^p2 v^r2 * E_chi with chi = p2 + a r2 mod n, where E_c
     are the character sums; monomial left factors and right translations only
     rescale, so the ideal slice is spanned by single monomials m1*m2 tensor E_c.
     """
     n, a = v.n, v.a
-    dims = []
     for d in range(N + 1):
         total = 0
         for p in range(d + 1):
@@ -298,8 +306,7 @@ def _ideal_dims_cyclic_counting(spec: AlgebraSpec, v: CyclicDiag, N: int) -> lis
                 if done:
                     break
             total += len(chars)
-        dims.append(total)
-    return dims
+        yield total
 
 
 class _RatioDSU:
@@ -377,8 +384,9 @@ def _crt(a: int, p: int, b: int, q: int) -> int:
     return (a + ((b - a) * inv % q) * p) % (p * q)
 
 
-def _ideal_dims_gnk_graph(n: int, k: int, N: int) -> list[int]:
-    """G_{n,k} with seed gbar: exact rank via two-sparse vectors in the G/H basis.
+def _ideal_dims_gnk_graph(n: int, k: int, N: int):
+    """G_{n,k} with seed gbar: yields the exact rank of I_d for 0 <= d <= N via
+    two-sparse vectors in the G/H basis.
 
     gbar * u^p v^r = u^p v^r * G_c + (-1)^(pr) u^r v^p * H_c' with
     c = (p+r mod k, p-r mod n) and c' = (p+r mod 2k, p-r mod n) (CRT indices);
@@ -389,7 +397,6 @@ def _ideal_dims_gnk_graph(n: int, k: int, N: int) -> list[int]:
     """
     m = 2 * n * k
     nk = n * k
-    dims = []
     for d in range(N + 1):
         dsu = _RatioDSU(m)
         for p2 in range(d + 1):
@@ -426,8 +433,7 @@ def _ideal_dims_gnk_graph(n: int, k: int, N: int) -> list[int]:
                     nodeB2 = (p1 + r2, "G", cH2)
                     eAB2 = (sB2 - sA2) % m
                     dsu.union(nodeA2, nodeB2, (nk + eAB2) % m)
-        dims.append(dsu.rank())
-    return dims
+        yield dsu.rank()
 
 
 def _vectorize(x: SmashElt, d: int) -> dict[int, Cyclo]:
@@ -490,10 +496,10 @@ def _ideal_rows_generic(spec: AlgebraSpec, ctx: SmashContext, seed: SmashElt, e:
         prev_rows = rows
 
 
-def _ideal_dims_generic(
-    spec: AlgebraSpec, ctx: SmashContext, seed: SmashElt, e: int, N: int
-) -> list[int]:
-    return [span.rank for _, span, _ in _ideal_rows_generic(spec, ctx, seed, e, N)]
+def _ideal_dims_generic(spec: AlgebraSpec, ctx: SmashContext, seed: SmashElt, e: int, N: int):
+    """Yields the rank of I_d for 0 <= d <= N (the reference for the fast paths)."""
+    for _, span, _ in _ideal_rows_generic(spec, ctx, seed, e, N):
+        yield span.rank
 
 
 def ideal_contains(spec: AlgebraSpec, G: GroupSpec, seed: SmashElt, x: SmashElt) -> bool:
@@ -515,15 +521,16 @@ def ideal_contains(spec: AlgebraSpec, G: GroupSpec, seed: SmashElt, x: SmashElt)
 
 
 def finite_dim_witness(spec: AlgebraSpec, G: GroupSpec, N: int) -> dict:
-    """Smallest s with ideal slice = everything for all s <= d <= N; a witness
-    is only claimed when the covered tail is at least max(4, |G|/4) long."""
+    """First full degree s of the ideal <gbar> within degree N, as a certificate.
+
+    A full degree is a proof that every later degree is full (see ideal_dims),
+    so (A # G)/<gbar> is finite-dimensional, concentrated in degrees below s.
+    `witness` and `found` are only claimed when the tail s..N is at least
+    tail_needed = max(4, ceil(|G|/4)) degrees long.
+    """
     report = ideal_dims(spec, G, gbar(G), N)
     per = report["per_degree"]
-    s = None
-    for d in range(N, -1, -1):
-        if per[d]["ideal_dim"] != per[d]["ambient_dim"]:
-            break
-        s = d
+    s = next((row["degree"] for row in per if row["ideal_dim"] == row["ambient_dim"]), None)
     order = len(enumerate_group(G))
     tail_needed = max(4, -(-order // 4))
     found = s is not None and (N - s + 1) >= tail_needed
@@ -535,7 +542,6 @@ def finite_dim_witness(spec: AlgebraSpec, G: GroupSpec, N: int) -> dict:
         "N": N,
         "method": report["method"],
         "per_degree": per,
-        "wall_time_s": report["wall_time_s"],
     }
 
 

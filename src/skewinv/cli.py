@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
 
 from .auslander import finite_dim_witness, verify_GH_identities
@@ -251,7 +252,14 @@ def _cmd_present(args) -> dict:
 def _cmd_verify_pres(args) -> dict:
     if args.stdin:
         data = json.load(sys.stdin)
+        if not isinstance(data, dict):
+            raise ValueError("the presentation JSON must be an object")
         pres = Presentation.from_json(data.get("presentation", data))
+        if not pres.relations:
+            raise ValueError(
+                "the presentation JSON has an empty 'relations' list; an invariant "
+                "ring of the plane needs at least one relation"
+            )
         spec = _algebra_from_args(args)
         G = _group_from_args(args, spec)
     else:
@@ -276,8 +284,10 @@ def _cmd_verify_pres(args) -> dict:
 def _cmd_auslander(args) -> dict:
     spec = _algebra_from_args(args)
     G = _group_from_args(args, spec)
+    t0 = time.perf_counter()
     report = finite_dim_witness(spec, G, args.N)
-    print(f"wall time: {report['wall_time_s']}s ({report['method']})", file=sys.stderr)
+    wall = round(time.perf_counter() - t0, 6)
+    print(f"wall time: {wall}s ({report['method']})", file=sys.stderr)
     return {
         "command": "auslander",
         "group": G.describe(),
@@ -437,6 +447,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("N", "d", "verify"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise ValueError(f"--{flag} must be non-negative, got {value}")
         if args.command == "auslander" and args.N is None:
             spec = _algebra_from_args(args)
             G = _group_from_args(args, spec)

@@ -254,10 +254,6 @@ def enumerate_group(G: GroupSpec) -> list[GradedAut]:
     return elems
 
 
-def group_order(G: GroupSpec) -> int:
-    return len(enumerate_group(G))
-
-
 def gnk_is_degenerate(n: int, k: int) -> bool:
     """True when the (i, j)-indexed element list of G_{n,k} contains duplicates."""
     return len(enumerate_group(GroupSpec.gnk(n, k))) < 2 * n * k

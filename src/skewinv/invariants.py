@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 from .errors import InternalInconsistencyError, ParameterError
 from .group_actions import (
@@ -257,7 +257,7 @@ def generator_set(spec: AlgebraSpec, G: GroupSpec) -> GeneratorSet:
     if spec.kind == "jordan":
         n = v.n
         gens = [
-            AlgebraElt.monomial(Fraction((-1) ** i, _fact(i)), n - i, i) for i in range(n + 1)
+            AlgebraElt.monomial(Fraction((-1) ** i, factorial(i)), n - i, i) for i in range(n + 1)
         ]
         gs = GeneratorSet(gens, [g.degree() for g in gens], "jordan_formula")
     elif isinstance(v, CyclicDiag):
@@ -280,13 +280,6 @@ def generator_set(spec: AlgebraSpec, G: GroupSpec) -> GeneratorSet:
                 f"constructed generator is not invariant: {to_text(g)}"
             )
     return gs
-
-
-def _fact(i: int) -> int:
-    out = 1
-    for x in range(2, i + 1):
-        out *= x
-    return out
 
 
 def _degree_cols(elt: AlgebraElt) -> dict[int, Cyclo]:

@@ -86,19 +86,24 @@ class Presentation:
 
     @staticmethod
     def from_json(data: dict) -> "Presentation":
-        degrees = [g["degree"] for g in data["generators"]]
-        names = [g["name"] for g in data["generators"]]
-        rels = [
-            [
-                (
-                    Cyclo(t["coeff"]["order"], [Fraction(x) for x in t["coeff"]["coeffs"]]),
-                    tuple(t["word"]),
-                )
-                for t in rel
+        try:
+            degrees = [g["degree"] for g in data["generators"]]
+            names = [g["name"] for g in data["generators"]]
+            rels = [
+                [
+                    (
+                        Cyclo(t["coeff"]["order"], [Fraction(x) for x in t["coeff"]["coeffs"]]),
+                        tuple(t["word"]),
+                    )
+                    for t in rel
+                ]
+                for rel in data["relations"]
             ]
-            for rel in data["relations"]
-        ]
-        return Presentation(degrees, rels, names)
+            return Presentation(degrees, rels, names)
+        except KeyError as exc:
+            raise ParameterError(f"presentation JSON has no {exc.args[0]!r} field") from None
+        except TypeError as exc:
+            raise ParameterError(f"malformed presentation JSON: {exc}") from None
 
 
 def _default_name(i: int, total: int) -> str:

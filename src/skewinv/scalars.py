@@ -516,7 +516,3 @@ def gen_binomial(alpha, k: int) -> Fraction:
     for i in range(k):
         num *= alpha - i
     return num / math.factorial(k)
-
-
-def factorial(n: int) -> int:
-    return math.factorial(n)

@@ -5,6 +5,7 @@ import pytest
 from skewinv.auslander import (
     GH_element,
     SmashElt,
+    _ideal_dims_cyclic_counting,
     _ideal_dims_generic,
     _ideal_dims_gnk_graph,
     finite_dim_witness,
@@ -128,21 +129,63 @@ def test_ideal_contains_u4v4_gnk31():
     assert ideal_contains(QM1, G, gbar(G), x)
 
 
+# The cross-checks read the raw per-degree ranks of each path, past the first
+# full degree, without the early stop of ideal_dims.
+
+
 def test_gnk_graph_path_matches_generic():
     for n, k, N in ((3, 1, 12), (1, 4, 10), (5, 1, 10), (3, 2, 9), (5, 3, 7), (3, 4, 7)):
         G = GroupSpec.gnk(n, k)
         ctx = smash_context(G)
-        assert _ideal_dims_gnk_graph(n, k, N) == _ideal_dims_generic(QM1, ctx, gbar(G), 0, N)
+        graph = list(_ideal_dims_gnk_graph(n, k, N))
+        assert graph == list(_ideal_dims_generic(QM1, ctx, gbar(G), 0, N))
 
 
 def test_cyclic_counting_matches_generic():
-    from skewinv.auslander import _ideal_dims_cyclic_counting
-
     for n, a, spec in ((3, 1, Q5), (4, 3, Q5), (5, 2, QM1), (6, 1, Q5)):
         G = GroupSpec.cyclic(n, a, spec)
         ctx = smash_context(G)
-        fast = _ideal_dims_cyclic_counting(spec, G.variant, 9)
-        assert fast == _ideal_dims_generic(spec, ctx, gbar(G), 0, 9)
+        fast = list(_ideal_dims_cyclic_counting(spec, G.variant, 9))
+        assert fast == list(_ideal_dims_generic(spec, ctx, gbar(G), 0, 9))
+
+
+def _u_times_g(G):
+    """The degree-1 seed u * g for the first group generator g."""
+    ctx = smash_context(G)
+    g = ctx.index[G.generators()[0].key_at(ctx.key_order)]
+    return SmashElt(ctx, {g: AlgebraElt.monomial(1, 1, 0)})
+
+
+@pytest.mark.parametrize(
+    "spec,G,seed_of,N",
+    [
+        (Q5, GroupSpec.cyclic(4, 3, Q5), gbar, 7),
+        (JORDAN, GroupSpec.cyclic(3, 1, JORDAN), gbar, 6),
+        (QM1, GroupSpec.gnk(3, 1), gbar, 8),
+        (QM1, GroupSpec.gnk(3, 1), _u_times_g, 4),
+    ],
+    ids=["cyclic_4_3_q5", "jordan_3", "gnk_3_1", "gnk_3_1_u_g"],
+)
+def test_first_full_degree_certificate(spec, G, seed_of, N):
+    # raw generic ranks: every degree after the first full one is full, and
+    # ideal_dims, which stops at that degree, reports the same sequence
+    seed = seed_of(G)
+    ctx = smash_context(G)
+    e = next(iter(seed.terms.values())).degree()
+    raw = list(_ideal_dims_generic(spec, ctx, seed, e, N))
+    ambient = [ctx.order * (d + 1) for d in range(N + 1)]
+    s = next(d for d in range(N + 1) if raw[d] == ambient[d])
+    assert N >= s + 3
+    assert raw[s:] == ambient[s:]
+    assert [row["ideal_dim"] for row in ideal_dims(spec, G, seed, N)["per_degree"]] == raw
+
+
+def test_no_full_degree_computes_every_degree():
+    G = GroupSpec.gnk(3, 2)
+    raw = list(_ideal_dims_gnk_graph(3, 2, 24))
+    assert len(raw) == 25
+    assert all(r < 12 * (d + 1) for d, r in enumerate(raw))
+    assert [row["ideal_dim"] for row in ideal_dims(QM1, G, gbar(G), 24)["per_degree"]] == raw
 
 
 def test_jordan_ideal_uses_generic_and_finds_witness():
@@ -164,8 +207,8 @@ def test_witness_not_found_for_non_small():
 
 
 def test_monotone_coverage_fraction():
-    rep = ideal_dims(QM1, GroupSpec.gnk(3, 1), gbar(GroupSpec.gnk(3, 1)), 16)
-    fracs = [row["ideal_dim"] / row["ambient_dim"] for row in rep["per_degree"]]
+    dims = _ideal_dims_gnk_graph(3, 1, 16)
+    fracs = [r / (6 * (d + 1)) for d, r in enumerate(dims)]
     full_from = next(i for i, f in enumerate(fracs) if f == 1.0)
     assert all(f == 1.0 for f in fracs[full_from:])
 

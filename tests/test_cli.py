@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 from skewinv.cli import main
 
@@ -120,21 +122,7 @@ def test_trace_element(capsys):
 def test_present_verify_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "present", "--family", "jordan", "--n", "2")
     assert code == 0
-    pres_payload = out
-    import io
-    import sys
-
-    code2 = None
-    stdin_backup = sys.stdin
-    try:
-        sys.stdin = io.StringIO(pres_payload)
-        code2, out2, _ = run_cli(
-            capsys,
-            "verify-pres", "--stdin", "--algebra", "jordan",
-            "--group", "cyclic", "2", "1", "--N", "12",
-        )
-    finally:
-        sys.stdin = stdin_backup
+    code2, out2, _ = _verify_stdin(capsys, out, "--N", "12")
     assert code2 == 0
     assert json.loads(out2)["ok"] is True
 
@@ -215,3 +203,61 @@ def test_text_format(capsys):
     )
     assert code == 0
     assert "series" in out
+
+
+def test_negative_size_flags_rejected(capsys):
+    cases = [
+        ("molien", "--algebra", "qminus1", "--group", "gnk", "3", "1", "--N", "-1"),
+        ("trace", "--algebra", "qminus1", "--group", "gnk", "3", "1", "--N", "-2"),
+        ("auslander", "--algebra", "qminus1", "--group", "gnk", "3", "1", "--N", "-1"),
+        ("generators", "--algebra", "qminus1", "--group", "gnk", "3", "1", "--verify", "-1"),
+        ("verify-pres", "--family", "jordan", "--n", "2", "--N", "-1"),
+        ("gnk-basis", "7", "3", "--d", "-1"),
+        ("theta", "2", "1", "--N", "-1"),
+        ("gh-identities", "3", "1", "--N", "-1"),
+    ]
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error: --") and "non-negative" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+def _verify_stdin(capsys, text, *extra):
+    stdin_backup = sys.stdin
+    try:
+        sys.stdin = io.StringIO(text)
+        return run_cli(
+            capsys,
+            "verify-pres", "--stdin", "--algebra", "jordan", "--group", "cyclic", "2", "1",
+            *extra,
+        )
+    finally:
+        sys.stdin = stdin_backup
+
+
+def test_verify_pres_stdin_missing_degree(capsys):
+    _, pres, _ = run_cli(capsys, "present", "--family", "jordan", "--n", "2")
+    data = json.loads(pres)["presentation"]
+    del data["generators"][1]["degree"]
+    code, out, err = _verify_stdin(capsys, json.dumps(data))
+    assert code == 1
+    assert out == ""
+    assert err == "error: presentation JSON has no 'degree' field\n"
+    data["generators"][1]["degree"] = "2"
+    code, out, err = _verify_stdin(capsys, json.dumps(data))
+    assert code == 1
+    assert err.startswith("error: malformed presentation JSON")
+
+
+def test_verify_pres_stdin_empty_relations(capsys):
+    _, pres, _ = run_cli(capsys, "present", "--family", "jordan", "--n", "2")
+    data = json.loads(pres)["presentation"]
+    data["relations"] = []
+    for extra in ((), ("--N", "6")):
+        code, out, err = _verify_stdin(capsys, json.dumps(data), *extra)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "'relations'" in err
+        assert len(err.strip().splitlines()) == 1
