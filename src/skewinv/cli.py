@@ -284,8 +284,13 @@ def _cmd_verify_pres(args) -> dict:
 def _cmd_auslander(args) -> dict:
     spec = _algebra_from_args(args)
     G = _group_from_args(args, spec)
+    N, truncated = args.N, False
+    if N is None:
+        default = _default_auslander_N(G)
+        N = min(default, AUSLANDER_CAP)
+        truncated = N < default
     t0 = time.perf_counter()
-    report = finite_dim_witness(spec, G, args.N)
+    report = finite_dim_witness(spec, G, N)
     wall = round(time.perf_counter() - t0, 6)
     print(f"wall time: {wall}s ({report['method']})", file=sys.stderr)
     return {
@@ -293,7 +298,7 @@ def _cmd_auslander(args) -> dict:
         "group": G.describe(),
         "algebra": spec.describe(),
         "N": report["N"],
-        "truncated": getattr(args, "truncated", False),
+        "truncated": truncated,
         "witness": report["witness"] if report["found"] else "not_found",
         "first_full_degree": report["first_full_degree"],
         "tail_needed": report["tail_needed"],
@@ -451,12 +456,6 @@ def main(argv: list[str] | None = None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < 0:
                 raise ValueError(f"--{flag} must be non-negative, got {value}")
-        if args.command == "auslander" and args.N is None:
-            spec = _algebra_from_args(args)
-            G = _group_from_args(args, spec)
-            default = _default_auslander_N(G)
-            args.N = min(default, AUSLANDER_CAP)
-            args.truncated = args.N < default
         payload = args.func(args)
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

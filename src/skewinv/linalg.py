@@ -1,7 +1,8 @@
-"""Exact sparse/dense linear algebra over Q(w_m).
+"""Exact sparse linear algebra over Q(w_m): one elimination engine.
 
 Vectors are dicts {column index: Cyclo} with no zero entries.  Pivoting is
 always on the smallest column index, so reduced bases are deterministic.
+`SpanBuilder` is the engine; `rref` and `nullspace` are built on it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ def vec_add_scaled(target: dict, src: dict, c: Cyclo) -> None:
 
 
 class SpanBuilder:
-    """Incremental row space in reduced echelon form (pivot coefficient 1)."""
+    """Incremental row space in echelon form: one row per pivot column, where
+    the pivot is the row's smallest column and has coefficient 1.
+
+    With full_reduce, a new row's pivot column is cleared from the rows already
+    stored, but the new row keeps its entries at later pivot columns, so the
+    rows are not in general reduced; `rref` returns the reduced form."""
 
     def __init__(self, full_reduce: bool = True):
         self.rows: dict[int, dict] = {}  # pivot column -> row
@@ -64,42 +70,29 @@ class SpanBuilder:
         return [self.rows[p] for p in sorted(self.rows)]
 
 
-def rref(rows: list[list[Cyclo]]) -> tuple[list[list[Cyclo]], list[int]]:
-    """Dense reduced row echelon form; returns (rows, pivot columns)."""
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if not mat[i][c].is_zero():
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat[:r], pivots
+def rref(rows: list[dict]) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form of the span of sparse rows: (rows, pivot columns),
+    pivots ascending.  Each row has a 1 at its pivot and nothing at any other
+    pivot column, so the result depends only on the span."""
+    span = SpanBuilder(full_reduce=False)
+    for row in rows:
+        span.add(row)
+    pivots = sorted(span.rows)
+    # back-substitute from the highest pivot down: the rows with higher pivots
+    # are already reduced, so clearing them from p's row brings in no pivot column
+    for p in reversed(pivots):
+        row = span.rows[p]
+        for q in [c for c in row if c != p and c in span.rows]:
+            vec_add_scaled(row, span.rows[q], -row[q])
+    return span.basis(), pivots
 
 
 def nullspace(rows: list[list[Cyclo]], ncols: int) -> list[list[Cyclo]]:
     """Basis of {x : M x = 0} for the dense matrix M, one vector per free column."""
     zero = Cyclo.zero()
     one = Cyclo.one()
-    if not rows:
-        return [[one if i == j else zero for i in range(ncols)] for j in range(ncols)]
-    red, pivots = rref(rows)
+    sparse = [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in rows]
+    red, pivots = rref(sparse)
     pivset = set(pivots)
     basis = []
     for free in range(ncols):
@@ -107,9 +100,9 @@ def nullspace(rows: list[list[Cyclo]], ncols: int) -> list[list[Cyclo]]:
             continue
         vec = [zero] * ncols
         vec[free] = one
-        for r, p in enumerate(pivots):
-            val = red[r][free]
-            if not val.is_zero():
+        for row, p in zip(red, pivots):
+            val = row.get(free)
+            if val is not None:
                 vec[p] = -val
         basis.append(vec)
     return basis

@@ -7,7 +7,9 @@ first letter as F_d = sum_x x * F_(d - deg x), and the two-sided ideal
 satisfies I_d = sum_x x * I_(d - deg x) + sum_rho rho * F_(d - deg rho), so
 the quotient Q_d is assembled from the lower quotients and the projections
 of rho * (lower classes).  This returns exactly dim F_d / I_d while only
-ever storing spaces of the quotient's (small) dimensions.
+ever storing spaces of the quotient's (small) dimensions.  The DP runs on
+sparse rows end to end: class vectors, relation rows and projections are
+{index: Cyclo} dicts, reduced by `linalg.rref`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import ParameterError
 from .group_actions import GroupSpec
 from .hj_series import typeA_data
 from .invariants import GeneratorSet, generator_set, molien
-from .linalg import SpanBuilder, rref
+from .linalg import SpanBuilder, rref, vec_add_scaled
 from .scalars import Cyclo, gen_binomial
 from .skew_algebra import AlgebraElt, AlgebraSpec, mul, to_text
 
@@ -255,41 +257,29 @@ def eval_relations(spec: AlgebraSpec, assignment: list[AlgebraElt], pres: Presen
 
 
 class _QuotientDP:
-    """Degreewise model of (free algebra)/(two-sided ideal of the relations)."""
+    """Degreewise model of (free algebra)/(two-sided ideal of the relations).
+
+    V_d = sum_x x (x) Q_(d - deg x) has one slot per (generator, lower class);
+    pcols[d][s] is the class in Q_d of slot s.  Class vectors, relation rows
+    and pcols are sparse dicts {index: Cyclo}."""
 
     def __init__(self, pres: Presentation):
         self.pres = pres
         self.dims = [1]
-        self.pcols: list[list[tuple[Cyclo, ...]] | None] = [None]  # degree -> V_d projection
+        self.offsets: list[dict[int, int]] = [{}]  # degree -> generator -> first slot in V_d
+        self.pcols: list[list[dict] | None] = [None]  # degree -> V_d projection
 
-    def _slots(self, d: int) -> list[tuple[int, int]]:
-        """(generator, lower class index) slot layout of V_d = sum_x x (x) Q_(d - e_x)."""
-        out = []
-        for g, e in enumerate(self.pres.gen_degrees):
-            if e <= d:
-                out.extend((g, t) for t in range(self.dims[d - e]))
-        return out
-
-    def _left_mul(self, g: int, vec: list[Cyclo], d_from: int) -> list[Cyclo]:
+    def _left_mul(self, g: int, vec: dict, d_from: int) -> dict:
         """Class of x_g * (class vector in Q_(d_from)) inside Q_(d_from + deg x_g)."""
         d_to = d_from + self.pres.gen_degrees[g]
         pcols = self.pcols[d_to]
-        offset = 0
-        for gg in range(g):
-            e = self.pres.gen_degrees[gg]
-            if e <= d_to:
-                offset += self.dims[d_to - e]
-        out = [Cyclo.zero()] * self.dims[d_to]
-        for t, c in enumerate(vec):
-            if c.is_zero():
-                continue
-            col = pcols[offset + t]
-            for idx in range(len(out)):
-                if not col[idx].is_zero():
-                    out[idx] = out[idx] + c * col[idx]
+        offset = self.offsets[d_to][g]
+        out: dict = {}
+        for t, c in vec.items():
+            vec_add_scaled(out, pcols[offset + t], c)
         return out
 
-    def _word_class(self, word: FreeWord, d_start: int, start: list[Cyclo]) -> list[Cyclo]:
+    def _word_class(self, word: FreeWord, d_start: int, start: dict) -> dict:
         vec = start
         d = d_start
         for g in reversed(word):
@@ -298,60 +288,40 @@ class _QuotientDP:
         return vec
 
     def extend_to(self, N: int) -> None:
-        zero, one = Cyclo.zero(), Cyclo.one()
+        one = Cyclo.one()
         while len(self.dims) <= N:
             d = len(self.dims)
-            slots = self._slots(d)
-            vdim = len(slots)
-            slot_index = {s: i for i, s in enumerate(slots)}
             offsets = {}
-            off = 0
+            vdim = 0
             for g, e in enumerate(self.pres.gen_degrees):
                 if e <= d:
-                    offsets[g] = off
-                    off += self.dims[d - e]
-            rel_vectors: list[list[Cyclo]] = []
+                    offsets[g] = vdim
+                    vdim += self.dims[d - e]
+            self.offsets.append(offsets)
+            rel_rows: list[dict] = []
             for rel in self.pres.relations:
                 r = self.pres.word_degree(rel[0][1])
                 if r > d:
                     continue
-                lower = self.dims[d - r]
-                for b in range(lower):
-                    start = [one if t == b else zero for t in range(lower)]
-                    vec = [zero] * vdim
+                for b in range(self.dims[d - r]):
+                    row: dict = {}
                     for c, w in rel:
-                        head, tail = w[0], w[1:]
-                        tail_class = self._word_class(tail, d - r, start)
-                        base = offsets[head]
-                        for t, z in enumerate(tail_class):
-                            if not z.is_zero():
-                                vec[base + t] = vec[base + t] + c * z
-                    if any(not x.is_zero() for x in vec):
-                        rel_vectors.append(vec)
-            if rel_vectors:
-                red, pivots = rref(rel_vectors)
-            else:
-                red, pivots = [], []
-            pivset = {p: i for i, p in enumerate(pivots)}
-            qdim = vdim - len(pivots)
-            quot_index = {}
-            nxt = 0
+                        tail_class = self._word_class(w[1:], d - r, {b: one})
+                        base = offsets[w[0]]
+                        vec_add_scaled(row, {base + t: z for t, z in tail_class.items()}, c)
+                    if row:
+                        rel_rows.append(row)
+            red, pivots = rref(rel_rows) if rel_rows else ([], [])
+            reduced = dict(zip(pivots, red))
+            quot_index = {s: i for i, s in enumerate(s for s in range(vdim) if s not in reduced)}
+            pcols: list[dict] = []
             for s in range(vdim):
-                if s not in pivset:
-                    quot_index[s] = nxt
-                    nxt += 1
-            pcols: list[tuple[Cyclo, ...]] = []
-            for s in range(vdim):
-                col = [zero] * qdim
                 if s in quot_index:
-                    col[quot_index[s]] = one
+                    pcols.append({quot_index[s]: one})
                 else:
-                    row = red[pivset[s]]
-                    for s2 in range(vdim):
-                        if s2 != s and not row[s2].is_zero():
-                            col[quot_index[s2]] = -row[s2]
-                pcols.append(tuple(col))
-            self.dims.append(qdim)
+                    # a reduced row is 1 at its pivot and otherwise lives on free slots
+                    pcols.append({quot_index[s2]: -z for s2, z in reduced[s].items() if s2 != s})
+            self.dims.append(vdim - len(pivots))
             self.pcols.append(pcols)
 
 

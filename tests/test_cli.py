@@ -1,6 +1,9 @@
+import hashlib
 import io
 import json
 import sys
+
+import pytest
 
 from skewinv.cli import main
 
@@ -146,6 +149,37 @@ def test_auslander_witness(capsys):
     payload = json.loads(out)
     assert payload["witness"] == 4
     assert "wall time" in err  # diagnostics on stderr, payload deterministic
+
+
+def test_auslander_default_N_builds_group_once(capsys):
+    code, out, err = run_cli(capsys, "auslander", "--algebra", "qminus1", "--group", "gnk", "2", "4")
+    assert code == 0
+    assert err.count("(the pair reduces)") == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c83b697104842538b164ada83d9bdb0668d1b8311146431a0ff80d4f3f6cf197"
+    )
+
+
+# stdout digests recorded with the dense-elimination quotient DP; the sparse
+# DP must reproduce them byte for byte
+VERIFY_PRES_DIGESTS = [
+    (
+        ("--family", "jordan", "--n", "4"),
+        "ed7b905b75a02fa28c06217020250573cf3bf15fd0d4d265110d22c59f39f4f3",
+    ),
+    (("--family", "gnk73"), "562b84c20c93cf154a26ab760e5f269a7dcaef56affcc4bf1f953c10c06c3189"),
+    (
+        ("--family", "quantum", "--n", "7", "--a", "3", "--q", "root:7"),
+        "3aec88ca1a6be3394f2fcbc1519cc9c166ce0ed93314645bc8a195e287902595",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", VERIFY_PRES_DIGESTS, ids=["jordan4", "gnk73", "quantum7_3"])
+def test_verify_pres_stdout_unchanged(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "verify-pres", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_auslander_not_found(capsys):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewinv.errors import ParameterError
 from skewinv.group_actions import GroupSpec
@@ -213,6 +215,37 @@ def test_quotient_dims_match_bruteforce_oracle():
     for pres in cases:
         N = 10
         assert truncated_quotient_dims(pres, N) == quotient_dims_bruteforce(pres, N)
+    for pres in (jordan_presentation(4), quantum_presentation(7, 3, Cyclo.root(7))):
+        assert truncated_quotient_dims(pres, 8) == quotient_dims_bruteforce(pres, 8)
+
+
+_SMALL_COEFFS = st.sampled_from(
+    [Cyclo.from_rational(x) for x in (1, -1, 2, -3)] + [Cyclo.root(3), -Cyclo.root(3)]
+)
+
+
+@st.composite
+def _small_presentations(draw):
+    """1-3 generators of degree 1-2 and 1-3 relations of degree 2-3, each with
+    2-4 terms where the degree has that many words."""
+    degrees = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    words: list[list[tuple]] = [[()]]
+    for d in range(1, 4):
+        words.append(
+            [(g,) + w for g, e in enumerate(degrees) if e <= d for w in words[d - e]]
+        )
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.sampled_from([d for d in (2, 3) if words[d]]))
+        chosen = st.lists(st.sampled_from(words[r]), min_size=min(2, len(words[r])), max_size=4, unique=True)
+        relations.append([(draw(_SMALL_COEFFS), w) for w in draw(chosen)])
+    return Presentation(degrees, relations)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_small_presentations(), st.integers(3, 6))
+def test_quotient_dims_match_bruteforce_random(pres, N):
+    assert truncated_quotient_dims(pres, N) == quotient_dims_bruteforce(pres, N)
 
 
 def test_quotient_dims_monotone_under_extra_relation():
