@@ -12,6 +12,8 @@ Three exact paths compute the same dimensions:
  - for G_{n,k} (n odd, coprime to k, faithful element list) with seed gbar,
    an edge/union-find computation: in the {G_l, H_l} basis of kG every
    spanning vector has exactly two nonzero entries with +-w^e coefficients.
+   A pair with n = 2 mod 4 and k = 0 mod 4 takes it as G_{n/2,k}, the same
+   group.
 The fast paths are cross-checked against the generic one in the tests.
 
 Each path yields one exact rank per degree, and `ideal_dims` stops reading at
@@ -28,7 +30,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import ParameterError
-from .group_actions import CyclicDiag, Gnk, GradedAut, GroupSpec, enumerate_group
+from .group_actions import CyclicDiag, Gnk, GradedAut, GroupSpec, enumerate_group, mono_mul
 from .linalg import SpanBuilder
 from .scalars import Cyclo
 from .skew_algebra import AlgebraElt, AlgebraSpec, apply_aut, mul
@@ -52,33 +54,10 @@ class SmashContext:
         self.key_order = m
         self.index = {e.key_at(m): i for i, e in enumerate(self.elements)}
         self.identity = self.index[GradedAut.identity_elt().key_at(m)]
-        if all(e.mono is not None and m % e.mono[0] == 0 for e in self.elements):
-            # monomial matrices: multiply by exponent arithmetic
-            keys = []
-            kindex = {}
-            for i, e in enumerate(self.elements):
-                mm, e1, e2 = e.mono
-                s = m // mm
-                key = (e.shape == "diagonal", e1 * s % m, e2 * s % m)
-                keys.append(key)
-                kindex[key] = i
-            self.mult = [
-                [kindex[_mono_mul_key(a, b, m)] for b in keys] for a in keys
-            ]
-        else:
-            self.mult = [
-                [self.index[(a @ b).key_at(m)] for b in self.elements]
-                for a in self.elements
-            ]
-
-def _mono_mul_key(a, b, m: int):
-    """Product of monomial matrices as (is_diagonal, exponent, exponent) keys."""
-    (da, e1, e2), (db, f1, f2) = a, b
-    if da:
-        return (db, (e1 + f1) % m, (e2 + f2) % m)
-    if db:
-        return (False, (e1 + f2) % m, (e2 + f1) % m)
-    return (True, (e1 + f2) % m, (e2 + f1) % m)
+        # every element is monomial: multiply by exponent arithmetic
+        keys = [e.mono_key(m) for e in self.elements]
+        kindex = {key: i for i, key in enumerate(keys)}
+        self.mult = [[kindex[mono_mul(a, b, m)] for b in keys] for a in keys]
 
 
 def smash_context(G: GroupSpec) -> SmashContext:
@@ -257,16 +236,11 @@ def ideal_dims(spec: AlgebraSpec, G: GroupSpec, seed: SmashElt, N: int) -> dict:
         raise ParameterError("seed must be homogeneous (gbar has degree 0)")
     v = G.variant
     is_gbar = seed == gbar(G)
+    pair = _graph_pair(v, ctx.order) if is_gbar and isinstance(v, Gnk) else None
     if is_gbar and isinstance(v, CyclicDiag) and spec.is_quantum:
         method, ranks = "character_counting", _ideal_dims_cyclic_counting(spec, v, N)
-    elif (
-        is_gbar
-        and isinstance(v, Gnk)
-        and v.n % 2 == 1
-        and gcd(v.n, v.k) == 1
-        and ctx.order == 2 * v.n * v.k
-    ):
-        method, ranks = "gh_basis_graph", _ideal_dims_gnk_graph(v.n, v.k, N)
+    elif pair is not None:
+        method, ranks = "gh_basis_graph", _ideal_dims_gnk_graph(*pair, N)
     else:
         method, ranks = "generic_span", _ideal_dims_generic(spec, ctx, seed, e, N)
     dims = []
@@ -280,6 +254,18 @@ def ideal_dims(spec: AlgebraSpec, G: GroupSpec, seed: SmashElt, N: int) -> dict:
         ideal = dims[d] if d < len(dims) else ambient
         per_degree.append({"degree": d, "ideal_dim": ideal, "ambient_dim": ambient})
     return {"N": N, "method": method, "per_degree": per_degree}
+
+
+def _graph_pair(v: Gnk, order: int) -> tuple[int, int] | None:
+    """(n, k) with G_{n,k} equal to v's group, n odd and coprime to k and the
+    element list faithful (order 2nk), or None when the graph path does not
+    apply.  For n = 2 mod 4 and k = 0 mod 4, G_{n,k} is the group G_{n/2,k}."""
+    n, k = v.n, v.k
+    if n % 4 == 2 and k % 4 == 0:
+        n //= 2
+    if n % 2 == 1 and gcd(n, k) == 1 and order == 2 * n * k:
+        return n, k
+    return None
 
 
 def _ideal_dims_cyclic_counting(spec: AlgebraSpec, v: CyclicDiag, N: int):
@@ -337,10 +323,6 @@ class _RatioDSU:
             self.parent[y] = x
             self.pot[y] = e
         return x
-
-    def exponent_to_root(self, x) -> int:
-        self.find(x)
-        return self.pot[x] if self.parent[x] != x else 0
 
     def mark_full(self, x) -> None:
         self.add(x)

@@ -46,7 +46,10 @@ def _parse_q(text: str) -> Cyclo:
         if m < 1:
             raise ValueError("root order must be positive")
         return Cyclo.root(m)
-    return Cyclo.from_rational(Fraction(text))
+    try:
+        return Cyclo.from_rational(Fraction(text))
+    except ZeroDivisionError:
+        raise ValueError(f"--q {text} has a zero denominator") from None
 
 
 def _algebra_from_args(args) -> AlgebraSpec:

@@ -5,6 +5,12 @@ families are the diagonal cyclic groups 1/n(1, a) and the groups G_{n,k}
 generated by diag(w^(2k), w^(-2k)) and antidiag(w^n, w^n) for w a primitive
 (2nk)-th root of unity; a dihedral family D_{m,q} on the commutative plane
 is provided for the correspondence checks.
+
+Every group a `GroupSpec` builds is made of monomial matrices with entries
+w^e, so its elements also carry exponent keys (is_diagonal, e1, e2) over
+w_m.  Exponent arithmetic has one home here: `mono_mul` is the product rule
+and `trace_counts` the degree-d trace as an exponent histogram.  The matrix
+entries remain the general path for user matrices and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -19,9 +25,23 @@ from .errors import (
     InvalidAutomorphismError,
     ParameterError,
 )
-from .scalars import Cyclo, euler_phi, lcm, _power_table
+from .scalars import Cyclo, euler_phi, lcm
 from .skew_algebra import AlgebraElt, AlgebraSpec, Mat2, Monomial, apply_aut
 from .skew_algebra import relation_image_scalar, validate_automorphism
+
+
+MonoKey = tuple[bool, int, int]
+
+
+def mono_mul(x: MonoKey, y: MonoKey, m: int) -> MonoKey:
+    """Product x @ y of monomial matrices given as (is_diagonal, e1, e2) keys
+    over w_m (entries w^e1, w^e2 at (a, d) or (b, c)).  A diagonal left factor
+    adds exponents in place; an antidiagonal one swaps the right factor's."""
+    xd, e1, e2 = x
+    yd, f1, f2 = y
+    if not xd:
+        f1, f2 = f2, f1
+    return (xd == yd, (e1 + f1) % m, (e2 + f2) % m)
 
 
 class GradedAut(Mat2):
@@ -29,8 +49,11 @@ class GradedAut(Mat2):
 
     When the element is a monomial matrix whose entries are pure powers of a
     fixed root of unity, `mono` holds (order, e1, e2) with entries w^e1, w^e2
-    (diagonal: positions (a, d); antidiagonal: (b, c)).  This powers the fast
-    trace/Molien paths; it is metadata only and never changes semantics.
+    (diagonal: positions (a, d); antidiagonal: (b, c)).  Every element of a
+    `GroupSpec` carries it, and products of two such elements keep it (at the
+    lcm order, by `mono_mul`).  It drives the exponent paths for traces, Molien
+    series, fixed spaces and smash products; it never changes semantics.
+    Matrices built without `mono` take the general Mat2 paths.
     """
 
     __slots__ = ("shape", "mono")
@@ -64,14 +87,24 @@ class GradedAut(Mat2):
         )
 
     @staticmethod
-    def from_mat(M: Mat2) -> "GradedAut":
-        return GradedAut(M.a, M.b, M.c, M.d)
-
-    @staticmethod
     def identity_elt() -> "GradedAut":
         return GradedAut(1, 0, 0, 1, mono=(1, 0, 0))
 
+    def mono_key(self, m: int) -> MonoKey:
+        """(is_diagonal, e1, e2) over w_m; needs mono with mono[0] dividing m."""
+        mm, e1, e2 = self.mono
+        s = m // mm
+        return (self.shape == "diagonal", e1 * s % m, e2 * s % m)
+
+    @staticmethod
+    def from_key(m: int, key: MonoKey) -> "GradedAut":
+        diagonal, e1, e2 = key
+        return (GradedAut.diag_power if diagonal else GradedAut.antidiag_power)(m, e1, e2)
+
     def __matmul__(self, other: Mat2) -> "GradedAut":
+        if isinstance(other, GradedAut) and self.mono and other.mono:
+            m = lcm(self.mono[0], other.mono[0])
+            return GradedAut.from_key(m, mono_mul(self.mono_key(m), other.mono_key(m), m))
         prod = Mat2.__matmul__(self, other)
         return GradedAut(prod.a, prod.b, prod.c, prod.d)
 
@@ -86,10 +119,6 @@ class CyclicDiag:
     def __post_init__(self):
         if self.n < 1 or not (0 <= self.a < self.n) or (self.n > 1 and self.a == 0):
             raise ParameterError(f"need 1 <= a < n, got 1/{self.n}(1, {self.a})")
-
-    @property
-    def is_canonical(self) -> bool:
-        return gcd(self.a, self.n) == 1
 
 
 @dataclass(frozen=True)
@@ -202,56 +231,30 @@ def enumerate_group(G: GroupSpec) -> list[GradedAut]:
         return [GradedAut.diag_power(v.n, i, (v.a * i) % v.n) for i in range(v.n)]
     if isinstance(v, Gnk):
         n, k = v.n, v.k
-        elems: list[GradedAut] = []
-        seen = set()
-        # g^i h^(2j) = diag(w^(2(nj+ki)), w^(2(nj-ki)))
-        for i in range(n):
-            for j in range(k):
-                key = ("d", (2 * (n * j + k * i)) % m, (2 * (n * j - k * i)) % m)
-                if key not in seen:
-                    seen.add(key)
-                    elems.append(GradedAut.diag_power(m, key[1], key[2]))
+        pairs = [(i, j) for i in range(n) for j in range(k)]
+        # g^i h^(2j) = diag(w^(2(nj+ki)), w^(2(nj-ki))), then
         # g^i h^(2j+1) = antidiag(w^((2j+1)n + 2ki), w^((2j+1)n - 2ki))
-        for i in range(n):
-            for j in range(k):
-                key = ("a", ((2 * j + 1) * n + 2 * k * i) % m, ((2 * j + 1) * n - 2 * k * i) % m)
-                if key not in seen:
-                    seen.add(key)
-                    elems.append(GradedAut.antidiag_power(m, key[1], key[2]))
-        return elems
-    # dihedral: closure from the generators (exponent arithmetic on monomial matrices)
-    gens = [("d", 2 * (v.m - v.q), (-2 * (v.m - v.q)) % m), ("a", v.q, v.q)]
-
-    def mul_keys(x, y):
-        # compose x after y as maps: (x @ y) acting by u -> ...; entries multiply
-        # like monomial matrices
-        (tx, e1, e2), (ty, f1, f2) = x, y
-        if tx == "d" and ty == "d":
-            return ("d", (e1 + f1) % m, (e2 + f2) % m)
-        if tx == "d" and ty == "a":
-            return ("a", (e1 + f1) % m, (e2 + f2) % m)
-        if tx == "a" and ty == "d":
-            return ("a", (e1 + f2) % m, (e2 + f1) % m)
-        return ("d", (e1 + f2) % m, (e2 + f1) % m)
-
-    frontier = [("d", 0, 0)]
+        keys = [(True, 2 * (n * j + k * i) % m, 2 * (n * j - k * i) % m) for i, j in pairs]
+        keys += [
+            (False, ((2 * j + 1) * n + 2 * k * i) % m, ((2 * j + 1) * n - 2 * k * i) % m)
+            for i, j in pairs
+        ]
+        # dict.fromkeys keeps the first of each repeated key (degenerate pairs)
+        return [GradedAut.from_key(m, key) for key in dict.fromkeys(keys)]
+    # dihedral: closure of the generators' keys; sorted, antidiagonal ones first
+    gens = [g.mono_key(m) for g in G.generators()]
+    frontier = [(True, 0, 0)]
     seen = {frontier[0]}
     while frontier:
         nxt = []
         for x in frontier:
             for gkey in gens:
-                y = mul_keys(gkey, x)
+                y = mono_mul(gkey, x, m)
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    elems = []
-    for t, e1, e2 in sorted(seen):
-        if t == "d":
-            elems.append(GradedAut.diag_power(m, e1, e2))
-        else:
-            elems.append(GradedAut.antidiag_power(m, e1, e2))
-    return elems
+    return [GradedAut.from_key(m, key) for key in sorted(seen)]
 
 
 def gnk_is_degenerate(n: int, k: int) -> bool:
@@ -290,9 +293,6 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def scale(self, c) -> "TruncatedSeries":
-        return TruncatedSeries([x * c for x in self.coeffs])
 
     def mul_poly(self, poly: list) -> "TruncatedSeries":
         """Multiply by a polynomial, truncating at the same order."""
@@ -396,35 +396,43 @@ def trace_closed_form(spec: AlgebraSpec, g: GradedAut) -> RationalFunction | Non
     return None
 
 
+def trace_counts(spec: AlgebraSpec, m: int, keys: list[MonoKey], d: int) -> list[int]:
+    """Exponent histogram of the degree-d traces of the monomial elements with
+    these keys over w_m: their sum is the sum of counts[e] * w_m^e.  One key
+    gives one element's trace; a group's keys give |G| times the Molien
+    coefficient.
+
+    A diagonal element scales u^i v^(d-i) by w^(e1 i + e2 (d-i)).  An
+    antidiagonal one fixes only the line of u^i v^i, d = 2i, which it scales
+    by (bc)^i q^(i*i); it is an automorphism only for q = +-1, so q = -1
+    exactly when the plane is not commutative."""
+    counts = [0] * m
+    i = d // 2
+    sign = i % 2 and not spec.is_commutative  # q^(i*i) = -1
+    for diagonal, e1, e2 in keys:
+        if diagonal:
+            e, step = e2 * d % m, (e1 - e2) % m
+            for _ in range(d + 1):
+                counts[e] += 1
+                e = (e + step) % m
+        elif d % 2 == 0:
+            if sign and m % 2:
+                raise InternalInconsistencyError("antidiagonal elements need an even root order")
+            counts[((e1 + e2) * i + sign * (m // 2)) % m] += 1
+    return counts
+
+
 def trace_series(spec: AlgebraSpec, g: GradedAut, N: int) -> TruncatedSeries:
     """Trace by acting on the monomial basis of each degree and summing diagonals."""
     validate_automorphism(spec, g)
     if g.mono is not None:
-        m, e1, e2 = g.mono
-        table = _power_table(m)
-        phi = euler_phi(m)
-        coeffs = []
-        if g.shape == "diagonal":
-            for d in range(N + 1):
-                counts = [0] * m
-                for i in range(d + 1):
-                    counts[(e1 * i + e2 * (d - i)) % m] += 1
-                coeffs.append(_counts_to_cyclo(m, phi, table, counts))
-        else:
-            half = m // 2  # m even for all antidiagonal-bearing groups here
-            for d in range(N + 1):
-                if d % 2:
-                    coeffs.append(Cyclo.zero())
-                    continue
-                i = d // 2
-                # u^i v^i -> (bc)^i q^(i*i) u^i v^i; q is +-1 here
-                e = ((e1 + e2) * i) % m
-                if spec.q == -1 and (i % 2):
-                    e = (e + half) % m
-                counts = [0] * m
-                counts[e] = 1
-                coeffs.append(_counts_to_cyclo(m, phi, table, counts))
-        return TruncatedSeries(coeffs)
+        m = g.mono[0]
+        if m % 2 and g.shape == "antidiagonal" and spec.q == -1:
+            m *= 2  # the trace carries q = -1 = w_(2m)^m
+        key = g.mono_key(m)
+        return TruncatedSeries(
+            [Cyclo.from_power_counts(m, trace_counts(spec, m, [key], d)) for d in range(N + 1)]
+        )
     coeffs = []
     for d in range(N + 1):
         total = Cyclo.zero()
@@ -434,17 +442,6 @@ def trace_series(spec: AlgebraSpec, g: GradedAut, N: int) -> TruncatedSeries:
             total = total + img.terms.get(mon, Cyclo.zero())
         coeffs.append(total)
     return TruncatedSeries(coeffs)
-
-
-def _counts_to_cyclo(m: int, phi: int, table, counts: list[int]) -> Cyclo:
-    out = [0] * phi
-    for e, c in enumerate(counts):
-        if c:
-            row = table[e]
-            for t in range(phi):
-                if row[t]:
-                    out[t] += c * row[t]
-    return Cyclo(m, [Fraction(x) for x in out])
 
 
 def trace(spec: AlgebraSpec, g: GradedAut, N: int) -> tuple[TruncatedSeries, RationalFunction | None]:

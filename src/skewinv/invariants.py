@@ -21,11 +21,11 @@ from .group_actions import (
     TruncatedSeries,
     enumerate_group,
     is_small_brute,
-    trace_series,
+    trace_counts,
 )
 from .hj_series import nc_series, typeA_data, typeD_data
 from .linalg import SpanBuilder
-from .scalars import Cyclo, euler_phi, _power_table
+from .scalars import Cyclo
 from .skew_algebra import (
     AlgebraElt,
     AlgebraSpec,
@@ -51,27 +51,13 @@ def fixed_space(spec: AlgebraSpec, G: GroupSpec, d: int) -> list[AlgebraElt]:
     if d < 0:
         raise ParameterError("degree must be non-negative")
     elems = _elements_for(spec, G)
-    diags = [g for g in elems if g.shape == "diagonal"]
-    others = [g for g in elems if g.shape != "diagonal"]
-    if len(diags) + len(others) != len(elems) or any(g.shape == "general" for g in elems):
-        raise ParameterError("unsupported group shape for fixed_space")
-
-    surviving = []
-    for i in range(d + 1):
-        j = d - i
-        ok = True
-        for g in diags:
-            if g.mono is not None:
-                m, e1, e2 = g.mono
-                if (e1 * i + e2 * j) % m:
-                    ok = False
-                    break
-            else:
-                if not ((g.a ** i) * (g.d ** j)).is_one():
-                    ok = False
-                    break
-        if ok:
-            surviving.append((i, j))
+    diag_monos = [g.mono for g in elems if g.shape == "diagonal"]
+    others = [g for g in elems if g.shape != "diagonal"]  # antidiagonal
+    surviving = [
+        (i, d - i)
+        for i in range(d + 1)
+        if all((e1 * i + e2 * (d - i)) % m == 0 for m, e1, e2 in diag_monos)
+    ]
     if not others:
         return [AlgebraElt.monomial(1, i, j) for (i, j) in surviving]
 
@@ -114,69 +100,22 @@ def fixed_space(spec: AlgebraSpec, G: GroupSpec, d: int) -> list[AlgebraElt]:
 def molien(spec: AlgebraSpec, G: GroupSpec, N: int) -> TruncatedSeries:
     """hilb A^G truncated at N: the group average of the trace series.
 
-    Coefficients must come out rational (the imaginary parts cancel); a
-    non-rational coefficient raises InternalInconsistencyError.
+    The traces are summed as one exponent histogram over w_m per degree and
+    reduced once.  Coefficients must come out rational (the imaginary parts
+    cancel); a non-rational coefficient raises InternalInconsistencyError.
     """
     elems = _elements_for(spec, G)
-    order = len(elems)
-    monos = [g.mono for g in elems]
-    if all(m is not None for m in monos):
-        m = max(mono[0] for mono in monos)
-        if all(mono[0] == m or m % mono[0] == 0 for mono in monos):
-            return _molien_by_counting(spec, elems, m, order, N)
-    total = None
-    for g in elems:
-        s = trace_series(spec, g, N)
-        total = s if total is None else total + s
-    series = TruncatedSeries([c * Fraction(1, order) for c in total.coeffs])
-    series.rational_coeffs()
-    return series
-
-
-def _molien_by_counting(spec, elems, m, order, N) -> TruncatedSeries:
-    phi = euler_phi(m)
-    table = _power_table(m)
-    minus_one = m // 2 if m % 2 == 0 else None
-    diag = []
-    anti = []
-    for g in elems:
-        mm, e1, e2 = g.mono
-        scale = m // mm
-        if g.shape == "diagonal":
-            diag.append((e1 * scale % m, e2 * scale % m))
-        else:
-            anti.append((e1 * scale % m, e2 * scale % m))
-    q_is_minus1 = spec.is_quantum and spec.q == -1
-    if anti and q_is_minus1 and minus_one is None:
-        raise InternalInconsistencyError("antidiagonal elements need an even root order")
+    m = G.root_order
+    keys = [g.mono_key(m) for g in elems]
     coeffs = []
     for d in range(N + 1):
-        counts = [0] * m
-        for e1, e2 in diag:
-            e = (e2 * d) % m
-            step = (e1 - e2) % m
-            for _ in range(d + 1):
-                counts[e] += 1
-                e = (e + step) % m
-        if d % 2 == 0:
-            i = d // 2
-            for e1, e2 in anti:
-                e = ((e1 + e2) * i) % m
-                if q_is_minus1 and i % 2:
-                    e = (e + minus_one) % m
-                counts[e] += 1
-        out = [0] * phi
-        for e, c in enumerate(counts):
-            if c:
-                row = table[e]
-                for t in range(phi):
-                    if row[t]:
-                        out[t] += c * row[t]
-        if any(out[1:]):
+        total = Cyclo.from_power_counts(m, trace_counts(spec, m, keys, d))
+        if not total.is_rational():
             raise InternalInconsistencyError(
                 f"Molien coefficient at degree {d} is not rational"
             )
-        coeffs.append(Cyclo.from_rational(Fraction(out[0], order)))
+        # an integer: the counts are integers and the rational part is coeffs[0]
+        coeffs.append(Cyclo.from_rational(Fraction(total.coeffs[0].numerator, len(elems))))
     return TruncatedSeries(coeffs)
 
 
@@ -291,6 +230,20 @@ def _cols_to_elt(cols: dict[int, Cyclo], d: int) -> AlgebraElt:
     return AlgebraElt({Monomial(i, d - i): c for i, c in cols.items()})
 
 
+def _add_products(
+    spec: AlgebraSpec, spans: list[SpanBuilder], gens: list[AlgebraElt], d: int
+) -> None:
+    """Add to spans[d] the products b * g, g in gens of degree e <= d, b in spans[d - e]."""
+    for g in gens:
+        e = g.degree()
+        if e > d:
+            continue
+        for row in spans[d - e].basis():
+            prod = mul(spec, _cols_to_elt(row, d - e), g)
+            if not prod.is_zero():
+                spans[d].add(_degree_cols(prod))
+
+
 def subalgebra_spans(
     spec: AlgebraSpec, gens: list[AlgebraElt], N: int
 ) -> list[SpanBuilder]:
@@ -300,20 +253,8 @@ def subalgebra_spans(
             raise ParameterError("generators must be nonzero and homogeneous")
     spans = [SpanBuilder() for _ in range(N + 1)]
     spans[0].add({0: Cyclo.one()})
-    by_degree: dict[int, list[AlgebraElt]] = {}
-    for g in gens:
-        by_degree.setdefault(g.degree(), []).append(g)
     for d in range(1, N + 1):
-        sb = spans[d]
-        for e, gs in by_degree.items():
-            if e > d:
-                continue
-            lower = spans[d - e]
-            for g in gs:
-                for row in lower.basis():
-                    prod = mul(spec, _cols_to_elt(row, d - e), g)
-                    if not prod.is_zero():
-                        sb.add(_degree_cols(prod))
+        _add_products(spec, spans, gens, d)
     return spans
 
 
@@ -356,17 +297,9 @@ def _brute_force_generators(spec: AlgebraSpec, G: GroupSpec) -> list[AlgebraElt]
         spans = [SpanBuilder() for _ in range(cap + 1)]
         spans[0].add({0: Cyclo.one()})
         for d in range(1, cap + 1):
-            sb = spans[d]
-            for g in gens:
-                e = g.degree()
-                if e > d:
-                    continue
-                for row in spans[d - e].basis():
-                    prod = mul(spec, _cols_to_elt(row, d - e), g)
-                    if not prod.is_zero():
-                        sb.add(_degree_cols(prod))
+            _add_products(spec, spans, gens, d)
             for vec in fixed_space(spec, G, d):
-                if sb.add(_degree_cols(vec)):
+                if spans[d].add(_degree_cols(vec)):
                     gens.append(vec)
         # safety window: spans must already match Molien through the cap
         target = molien(spec, G, cap).integer_coeffs()

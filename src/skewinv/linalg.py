@@ -87,12 +87,12 @@ def rref(rows: list[dict]) -> tuple[list[dict], list[int]]:
     return span.basis(), pivots
 
 
-def nullspace(rows: list[list[Cyclo]], ncols: int) -> list[list[Cyclo]]:
-    """Basis of {x : M x = 0} for the dense matrix M, one vector per free column."""
+def nullspace(rows: list[dict], ncols: int) -> list[list[Cyclo]]:
+    """Basis of {x : M x = 0} for the matrix M with sparse rows and ncols
+    columns: one dense vector per free column."""
     zero = Cyclo.zero()
     one = Cyclo.one()
-    sparse = [{c: x for c, x in enumerate(row) if not x.is_zero()} for row in rows]
-    red, pivots = rref(sparse)
+    red, pivots = rref(rows)
     pivset = set(pivots)
     basis = []
     for free in range(ncols):

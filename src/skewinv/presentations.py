@@ -21,7 +21,7 @@ from .errors import ParameterError
 from .group_actions import GroupSpec
 from .hj_series import typeA_data
 from .invariants import GeneratorSet, generator_set, molien
-from .linalg import SpanBuilder, rref, vec_add_scaled
+from .linalg import SpanBuilder, nullspace, rref, vec_add_scaled
 from .scalars import Cyclo, gen_binomial
 from .skew_algebra import AlgebraElt, AlgebraSpec, mul, to_text
 
@@ -106,6 +106,10 @@ class Presentation:
             raise ParameterError(f"presentation JSON has no {exc.args[0]!r} field") from None
         except TypeError as exc:
             raise ParameterError(f"malformed presentation JSON: {exc}") from None
+        except ZeroDivisionError:
+            raise ParameterError(
+                "presentation JSON has a coefficient with a zero denominator"
+            ) from None
 
 
 def _default_name(i: int, total: int) -> str:
@@ -408,25 +412,16 @@ def discover_relations(spec: AlgebraSpec, gens: list[AlgebraElt], degree: int) -
     target_words = words[degree]
     if not target_words:
         return []
-    values = []
-    for w in target_words:
+    # kernel of (words -> A_degree): one sparse row {word index: coefficient}
+    # per monomial, so solution vectors index words
+    rows: dict = {}
+    for idx, w in enumerate(target_words):
         prod = AlgebraElt.one()
         for g in w:
             prod = mul(spec, prod, gens[g])
-        values.append(prod)
-    cols = sorted({mon for v in values for mon in v.terms})
-    col_index = {m: i for i, m in enumerate(cols)}
-    matrix = []
-    for v in values:
-        row = [Cyclo.zero()] * len(cols)
-        for mon, c in v.terms.items():
-            row[col_index[mon]] = c
-        matrix.append(row)
-    # kernel of (words -> A_degree): transpose so solution vectors index words
-    transposed = [[matrix[r][c] for r in range(len(matrix))] for c in range(len(cols))]
-    from .linalg import nullspace
-
-    kernel = nullspace(transposed, len(target_words))
+        for mon, c in prod.terms.items():
+            rows.setdefault(mon, {})[idx] = c
+    kernel = nullspace([rows[mon] for mon in sorted(rows)], len(target_words))
     out: list[Relation] = []
     for vec in kernel:
         rel = [(c, target_words[i]) for i, c in enumerate(vec) if not c.is_zero()]

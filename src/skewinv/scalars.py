@@ -150,6 +150,20 @@ def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _fold_powers(m: int, terms, out: list) -> list:
+    """Add c * w_m^e to the power-basis coordinates out for each (e, c) in
+    terms, 0 <= e <= 2m; returns out."""
+    table = _power_table(m)
+    phi = len(out)
+    for e, c in terms:
+        if c:
+            row = table[e]
+            for k in range(phi):
+                if row[k]:
+                    out[k] += c * row[k]
+    return out
+
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -204,6 +218,13 @@ class Cyclo:
         return Cyclo(1, (_ONE,))
 
     @staticmethod
+    def from_power_counts(m: int, counts: list[int]) -> "Cyclo":
+        """sum of counts[e] * w_m^e over 0 <= e < len(counts) <= 2m + 1: the
+        reduction of an exponent histogram, such as a monomial trace's."""
+        out = _fold_powers(m, enumerate(counts), [0] * euler_phi(m))
+        return Cyclo._make(m, tuple(Fraction(x) if x else _ZERO for x in out))
+
+    @staticmethod
     def root(m: int, e: int = 1) -> "Cyclo":
         """w_m^e for a fixed primitive m-th root of unity w_m."""
         if m < 1:
@@ -219,16 +240,8 @@ class Cyclo:
         if m % self.order != 0:
             raise ParameterError(f"cannot promote order {self.order} into order {m}")
         mult = m // self.order
-        phi = euler_phi(m)
-        table = _power_table(m)
-        out = [_ZERO] * phi
-        for i, c in enumerate(self.coeffs):
-            if c:
-                row = table[i * mult]
-                for k in range(phi):
-                    if row[k]:
-                        out[k] += c * row[k]
-        return Cyclo._make(m, tuple(out))
+        terms = ((i * mult, c) for i, c in enumerate(self.coeffs))
+        return Cyclo._make(m, tuple(_fold_powers(m, terms, [_ZERO] * euler_phi(m))))
 
     @staticmethod
     def _common(a: "Cyclo", b: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
@@ -321,15 +334,7 @@ class Cyclo:
                 for j, y in enumerate(b.coeffs):
                     if y:
                         conv[i + j] += x * y
-        table = _power_table(m)
-        out = list(conv[:phi])
-        for e in range(phi, 2 * phi - 1):
-            c = conv[e]
-            if c:
-                row = table[e]
-                for k in range(phi):
-                    if row[k]:
-                        out[k] += c * row[k]
+        out = _fold_powers(m, enumerate(conv[phi:], phi), conv[:phi])
         return Cyclo._make(m, tuple(out))
 
     __rmul__ = __mul__
@@ -374,16 +379,7 @@ class Cyclo:
         g = r1[0]
         inv_poly = [c / g for c in s1]
         # reduce modulo the cyclotomic polynomial
-        phi = euler_phi(m)
-        table = _power_table(m)
-        out = [_ZERO] * phi
-        for e, c in enumerate(inv_poly):
-            if c:
-                row = table[e]
-                for k in range(phi):
-                    if row[k]:
-                        out[k] += c * row[k]
-        return Cyclo(m, out)
+        return Cyclo(m, _fold_powers(m, enumerate(inv_poly), [_ZERO] * euler_phi(m)))
 
     def __truediv__(self, other) -> "Cyclo":
         return self * Cyclo._coerce(other).inverse()

@@ -141,6 +141,18 @@ def test_gnk_graph_path_matches_generic():
         assert graph == list(_ideal_dims_generic(QM1, ctx, gbar(G), 0, N))
 
 
+def test_degenerate_gnk_graph_path_matches_generic():
+    # n = 2 mod 4, k = 0 mod 4: G_(2,4) is G_(1,4), G_(6,4) is G_(3,4)
+    for n, k, N in ((2, 4, 12), (6, 4, 6)):
+        G = GroupSpec.gnk(n, k)
+        ctx = smash_context(G)
+        graph = list(_ideal_dims_gnk_graph(n // 2, k, N))
+        assert graph == list(_ideal_dims_generic(QM1, ctx, gbar(G), 0, N))
+        report = ideal_dims(QM1, G, gbar(G), N)
+        assert report["method"] == "gh_basis_graph"
+        assert [row["ideal_dim"] for row in report["per_degree"]] == graph
+
+
 def test_cyclic_counting_matches_generic():
     for n, a, spec in ((3, 1, Q5), (4, 3, Q5), (5, 2, QM1), (6, 1, Q5)):
         G = GroupSpec.cyclic(n, a, spec)

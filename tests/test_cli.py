@@ -182,6 +182,84 @@ def test_verify_pres_stdout_unchanged(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# stdout digests recorded while group products dropped their exponent form;
+# the products that keep it must reproduce them byte for byte
+QM1_GNK = ("--algebra", "qminus1", "--group", "gnk")
+MONOMIAL_CORE_DIGESTS = [
+    (
+        ("trace", *QM1_GNK, "5", "3", "--element", "g^2*h", "--N", "14"),
+        "09744f24d1b3e3f1d79bc6222d8f29bfe42824b9e1da944af9fd816bbd18e4bd",
+    ),
+    (
+        ("trace", *QM1_GNK, "5", "3", "--element", "h^3", "--N", "14"),
+        "575759524ee28f5bede3de966182df5083793f9014aa02f153647bf86333b621",
+    ),
+    (
+        ("trace", *QM1_GNK, "4", "2", "--element", "g*h*g", "--N", "14"),
+        "4307524b2a66ee20fcba967f2b8f3be02173c531ee105cb60c31a394a57fc6b5",
+    ),
+    (
+        ("trace", *QM1_GNK, "4", "2", "--element", "g^4*h^2", "--N", "14"),
+        "674aed2714079f93c2fc2748ef2aa48bd295dfaf85be450a00624fd7e9b095b8",
+    ),
+    (
+        ("molien", "--algebra", "commutative", "--group", "cyclic", "6", "5", "--N", "30"),
+        "06de66e249cc63c09bfe5e8b9e4b46835a48a8c7f223bec556556f5c98fb0522",
+    ),
+    (("theta", "3", "4", "--N", "40"), "18656de8acd5235358c34fd50cec846345358b3c4e627a1fbe29cb8c74e582e6"),
+    (
+        ("generators", *QM1_GNK, "2", "1", "--verify", "20"),
+        "8a36f869501b5de372fe952b73767343078befb8cc1f169730833e315bdedc48",
+    ),
+    (("classify", *QM1_GNK, "6", "4"), "c0ba810a942b0a5e2a4b564209b0d6690b585c83bb0d03c63c0222eeeb5c54c6"),
+    (
+        ("gh-identities", "5", "3", "--N", "30"),
+        "6cc147ef930acbd5c9bf0dde995bb9b06291bebb4863a98effd2b3a74e67e146",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    MONOMIAL_CORE_DIGESTS,
+    ids=["trace53_g2h", "trace53_h3", "trace42_ghg", "trace42_g4h2", "molien_comm6_5",
+         "theta34", "generators21", "classify64", "gh53"],
+)
+def test_monomial_core_stdout_unchanged(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_auslander_degenerate_gnk_takes_graph_path(capsys):
+    # G_(6,4) is G_(3,4): the default N used to run the generic span for 70 s
+    code, out, err = run_cli(capsys, "auslander", *QM1_GNK, "6", "4")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["witness"] == 13 and payload["first_full_degree"] == 13
+    assert "(gh_basis_graph)" in err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "77240552b1a8b6f03b05ae879949ac6c9dd221bc3273e1a149979b9f58743ee2"
+    )
+
+
+def test_zero_denominators_rejected(capsys):
+    code, out, err = run_cli(
+        capsys, "molien", "--algebra", "quantum", "--q", "1/0", "--group", "cyclic", "3", "1",
+        "--N", "4",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: --q 1/0 has a zero denominator\n"
+    _, pres, _ = run_cli(capsys, "present", "--family", "jordan", "--n", "2")
+    data = json.loads(pres)["presentation"]
+    data["relations"][0][0]["coeff"]["coeffs"][0] = "1/0"
+    code, out, err = _verify_stdin(capsys, json.dumps(data))
+    assert code == 1
+    assert out == ""
+    assert err == "error: presentation JSON has a coefficient with a zero denominator\n"
+
+
 def test_auslander_not_found(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -19,7 +19,7 @@ from skewinv.group_actions import (
     trace_series,
 )
 from skewinv.scalars import Cyclo, lcm
-from skewinv.skew_algebra import AlgebraSpec
+from skewinv.skew_algebra import AlgebraSpec, Mat2
 
 QM1 = AlgebraSpec.quantum(Cyclo.from_rational(-1))
 Q5 = AlgebraSpec.quantum(Cyclo.root(5))
@@ -133,11 +133,43 @@ def test_trace_closed_forms_match_series_on_groups():
 
 
 def test_trace_generic_path_agrees_with_mono_path():
-    G = GroupSpec.gnk(3, 2)
-    for g in enumerate_group(G):
-        stripped = GradedAut(g.a, g.b, g.c, g.d)  # no mono metadata
-        assert stripped.mono is None
-        assert trace_series(QM1, stripped, 10) == trace_series(QM1, g, 10)
+    groups = [
+        GroupSpec.gnk(3, 2),
+        GroupSpec.dihedral(4, 3),
+        GroupSpec.cyclic(5, 2, Q5),
+        GroupSpec.cyclic(3, 1, JORDAN),
+    ]
+    for G in groups:
+        for g in enumerate_group(G):
+            stripped = GradedAut(g.a, g.b, g.c, g.d)  # no mono metadata
+            assert stripped.mono is None
+            assert trace_series(G.ambient, stripped, 10) == trace_series(G.ambient, g, 10)
+    # an odd root order leaves q = -1 outside w_m, so the antidiagonal trace needs w_2m
+    g = GradedAut.antidiag_power(3, 1, 1)
+    assert trace_series(QM1, GradedAut(g.a, g.b, g.c, g.d), 10) == trace_series(QM1, g, 10)
+
+
+def test_mono_product_matches_matrix_product():
+    groups = [
+        GroupSpec.gnk(3, 2),
+        GroupSpec.gnk(2, 4),
+        GroupSpec.dihedral(4, 3),
+        GroupSpec.cyclic(5, 2, Q5),
+    ]
+    for G in groups:
+        elems = enumerate_group(G)
+        for x in elems:
+            for y in elems:
+                prod = x @ y
+                assert prod.mono is not None
+                assert prod == Mat2.__matmul__(x, y)
+    # mixed root orders compose at the lcm order
+    prod = GradedAut.diag_power(4, 1, 3) @ GradedAut.antidiag_power(6, 1, 5)
+    assert prod.mono == (12, 5, 7)
+    assert prod == Mat2.__matmul__(GradedAut.diag_power(4, 1, 3), GradedAut.antidiag_power(6, 1, 5))
+    # an operand without mono takes the matrix product and drops the tag
+    plain = GradedAut(Cyclo.root(3), 0, 0, 1) @ GradedAut.diag_power(3, 1, 1)
+    assert plain.mono is None and plain == GradedAut.diag_power(3, 2, 1)
 
 
 def test_jordan_triangular_trace():

@@ -109,7 +109,7 @@ def test_nullspace_vectors_are_annihilated():
         ([], 3),
     ]
     for matrix, ncols in cases:
-        kernel = nullspace(matrix, ncols)
+        kernel = nullspace([_sparse(r) for r in matrix], ncols)
         rank = len(rref([_sparse(r) for r in matrix])[1])
         assert len(kernel) == ncols - rank
         for vec in kernel:
