@@ -31,6 +31,7 @@ from math import gcd
 
 from .errors import ParameterError
 from .group_actions import CyclicDiag, Gnk, GradedAut, GroupSpec, enumerate_group, mono_mul
+from .group_actions import gnk_keys
 from .linalg import SpanBuilder
 from .scalars import Cyclo
 from .skew_algebra import AlgebraElt, AlgebraSpec, apply_aut, mul
@@ -52,12 +53,11 @@ class SmashContext:
         self.order = len(self.elements)
         m = G.root_order
         self.key_order = m
-        self.index = {e.key_at(m): i for i, e in enumerate(self.elements)}
-        self.identity = self.index[GradedAut.identity_elt().key_at(m)]
-        # every element is monomial: multiply by exponent arithmetic
+        # every element is monomial: index and multiply by exponent keys
         keys = [e.mono_key(m) for e in self.elements]
-        kindex = {key: i for i, key in enumerate(keys)}
-        self.mult = [[kindex[mono_mul(a, b, m)] for b in keys] for a in keys]
+        self.index = {key: i for i, key in enumerate(keys)}
+        self.identity = self.index[GradedAut.identity_elt().mono_key(m)]
+        self.mult = [[self.index[mono_mul(a, b, m)] for b in keys] for a in keys]
 
 
 def smash_context(G: GroupSpec) -> SmashContext:
@@ -180,25 +180,18 @@ def GH_element(G: GroupSpec, l: int, kind: str) -> SmashElt:
     if kind not in ("G", "H"):
         raise ParameterError("kind must be 'G' or 'H'")
     ctx = smash_context(G)
-    n, k = v.n, v.k
-    m = 2 * n * k
+    m = ctx.key_order
+    # for the key (_, e1, e2), G_l's coefficient is w^(l*e1) and H_l's w^(l*e2)
+    slot = 1 if kind == "G" else 2
     out: dict[int, AlgebraElt] = {}
-    for i in range(n):
-        for j in range(k):
-            if kind == "G":
-                key = GradedAut.diag_power(m, 2 * (n * j + k * i), 2 * (n * j - k * i))
-                coeff = Cyclo.root(m, 2 * l * (n * j + k * i))
-            else:
-                key = GradedAut.antidiag_power(
-                    m, (2 * j + 1) * n + 2 * k * i, (2 * j + 1) * n - 2 * k * i
-                )
-                coeff = Cyclo.root(m, l * (n * (2 * j + 1) - 2 * k * i))
-            idx = ctx.index[key.key_at(ctx.key_order)]
-            cur = out.get(idx, AlgebraElt.zero()) + AlgebraElt.monomial(coeff, 0, 0)
-            if cur.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = cur
+    for key in gnk_keys(v.n, v.k, kind == "G"):
+        idx = ctx.index[key]
+        coeff = Cyclo.root(m, l * key[slot])
+        cur = out.get(idx, AlgebraElt.zero()) + AlgebraElt.monomial(coeff, 0, 0)
+        if cur.is_zero():
+            out.pop(idx, None)
+        else:
+            out[idx] = cur
     return SmashElt(ctx, out)
 
 
@@ -435,9 +428,7 @@ def _ideal_rows_generic(spec: AlgebraSpec, ctx: SmashContext, seed: SmashElt, e:
     the generators generate kG as an algebra).
     """
     G = ctx.G
-    gen_indices = [
-        ctx.index[g.key_at(ctx.key_order)] for g in G.generators()
-    ]
+    gen_indices = [ctx.index[g.mono_key(ctx.key_order)] for g in G.generators()]
     # basis of the span of left group translates of the seed
     left_span = SpanBuilder(full_reduce=False)
     left_reps: list[SmashElt] = []
@@ -565,7 +556,7 @@ def verify_GH_identities(n: int, k: int, N: int, memberships: bool = True) -> di
             ok_u = False
         ml = (m0 * l) % (2 * nk)
         if not (
-            smash_mul(G, Gl[0], vl) == smash_mul(G, vl, _gh_mod(G, Gl, ml, n))
+            smash_mul(G, Gl[0], vl) == smash_mul(G, vl, Gl[ml % nk])
             and smash_mul(G, Hl[0], vl) == smash_mul(G, ul, _gh_mod_H(G, Hl, ml, n, nk))
         ):
             ok_v = False
@@ -576,10 +567,6 @@ def verify_GH_identities(n: int, k: int, N: int, memberships: bool = True) -> di
         checks["membership_shifted_pairs"] = _membership_shifted_pairs(G, Gl, Hl, n, k, m0)
         checks["membership_ukvk"] = _membership_ukvk(G, Gl, Hl, n, k)
     return {"n": n, "k": k, "N": N, "ok": all(checks.values()), "checks": checks}
-
-
-def _gh_mod(G, Gl, l, n):
-    return Gl[l % (n * G.variant.k)]
 
 
 def _gh_mod_H(G, Hl, l, n, nk):

@@ -147,7 +147,9 @@ def _parse_element(G: GroupSpec, text: str) -> GradedAut:
             raise ValueError(f"unknown generator {name!r} (use g or h)")
         if power < 0:
             raise ValueError("use non-negative powers")
-        for _ in range(power):
+        # g^(2m) = 1 for every generator over w_m: a diagonal one has order
+        # dividing m and an antidiagonal one squares to a scalar matrix
+        for _ in range(power % (2 * G.root_order)):
             acc = acc @ names[name]
     return acc
 

@@ -44,6 +44,19 @@ def mono_mul(x: MonoKey, y: MonoKey, m: int) -> MonoKey:
     return (xd == yd, (e1 + f1) % m, (e2 + f2) % m)
 
 
+def gnk_keys(n: int, k: int, diagonal: bool) -> list[MonoKey]:
+    """Keys over w_(2nk) of g^i h^(2j) (diagonal) or g^i h^(2j+1), for i < n
+    and j < k in (i, j) order:
+    g^i h^(2j) = diag(w^(2(nj+ki)), w^(2(nj-ki))) and
+    g^i h^(2j+1) = antidiag(w^((2j+1)n + 2ki), w^((2j+1)n - 2ki))."""
+    m = 2 * n * k
+    if diagonal:
+        return [(True, 2 * (n * j + k * i) % m, 2 * (n * j - k * i) % m)
+                for i in range(n) for j in range(k)]
+    return [(False, ((2 * j + 1) * n + 2 * k * i) % m, ((2 * j + 1) * n - 2 * k * i) % m)
+            for i in range(n) for j in range(k)]
+
+
 class GradedAut(Mat2):
     """Group element: a matrix plus shape metadata.
 
@@ -230,15 +243,7 @@ def enumerate_group(G: GroupSpec) -> list[GradedAut]:
     if isinstance(v, CyclicDiag):
         return [GradedAut.diag_power(v.n, i, (v.a * i) % v.n) for i in range(v.n)]
     if isinstance(v, Gnk):
-        n, k = v.n, v.k
-        pairs = [(i, j) for i in range(n) for j in range(k)]
-        # g^i h^(2j) = diag(w^(2(nj+ki)), w^(2(nj-ki))), then
-        # g^i h^(2j+1) = antidiag(w^((2j+1)n + 2ki), w^((2j+1)n - 2ki))
-        keys = [(True, 2 * (n * j + k * i) % m, 2 * (n * j - k * i) % m) for i, j in pairs]
-        keys += [
-            (False, ((2 * j + 1) * n + 2 * k * i) % m, ((2 * j + 1) * n - 2 * k * i) % m)
-            for i, j in pairs
-        ]
+        keys = gnk_keys(v.n, v.k, True) + gnk_keys(v.n, v.k, False)
         # dict.fromkeys keeps the first of each repeated key (degenerate pairs)
         return [GradedAut.from_key(m, key) for key in dict.fromkeys(keys)]
     # dihedral: closure of the generators' keys; sorted, antidiagonal ones first

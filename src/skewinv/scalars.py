@@ -5,6 +5,14 @@ positive denominator).  A `Cyclo` is an element of Q(w_m) stored in the
 power basis 1, w, ..., w^(phi(m)-1) modulo the m-th cyclotomic polynomial,
 so equality is a coefficient comparison.  Mixed-order arithmetic promotes
 both operands to the lcm order.
+
+One reduction, `_reduce`, turns a coefficient list indexed by any exponents
+into power-basis coordinates: it folds exponents by x^m = 1, then divides by
+the monic Phi_m.  Products, promotion, inverses, exponent histograms and the
+roots themselves go through it.  Each root of unity exists once: `_roots(m)`
+holds w_m^0 .. w_m^(m-1) as `Cyclo`s tagged with their exponent, so
+`Cyclo.root(m, e)` is `Cyclo.root(m, e + m)` and a product of two roots is
+an exponent sum.
 """
 
 from __future__ import annotations
@@ -120,63 +128,60 @@ def cyclotomic_polynomial(m: int) -> IntPolynomial:
     return xm1.exact_div(den)
 
 
-@lru_cache(maxsize=None)
-def _root_exp_index(m: int) -> dict[tuple[int, ...], int]:
-    """coefficient row -> exponent e with w_m^e having that row, for 0 <= e < m."""
-    table = _power_table(m)
-    out: dict[tuple[int, ...], int] = {}
-    for e in range(m):
-        out.setdefault(table[e], e)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
-    """w^e in the power basis of Q(w_m), as integer rows, for 0 <= e <= 2m."""
-    phi = euler_phi(m)
-    cyc = cyclotomic_polynomial(m).coeffs  # monic, degree phi
-    top = tuple(-c for c in cyc[:phi])  # x^phi == top, integer coefficients
-    rows: list[tuple[int, ...]] = []
-    for e in range(phi):
-        rows.append(tuple(1 if i == e else 0 for i in range(phi)))
-    for _ in range(phi, 2 * m + 1):
-        prev = rows[-1]
-        shifted = [0] + list(prev[: phi - 1])
-        lead = prev[phi - 1]
-        if lead:
-            for i in range(phi):
-                shifted[i] += lead * top[i]
-        rows.append(tuple(shifted))
-    return tuple(rows)
-
-
-def _fold_powers(m: int, terms, out: list) -> list:
-    """Add c * w_m^e to the power-basis coordinates out for each (e, c) in
-    terms, 0 <= e <= 2m; returns out."""
-    table = _power_table(m)
-    phi = len(out)
-    for e, c in terms:
-        if c:
-            row = table[e]
-            for k in range(phi):
-                if row[k]:
-                    out[k] += c * row[k]
-    return out
-
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 @lru_cache(maxsize=None)
-def _root_cached(m: int, e: int):
-    if m == 1:
-        out = Cyclo._make(1, (_ONE,))
-    else:
-        row = _power_table(m)[e]
-        out = Cyclo._make(m, tuple(Fraction(c) for c in row))
-    out._rexp = e
+def _phi_terms(m: int) -> list[tuple[int, int]]:
+    """(j, c) for the nonzero coefficients c of x^j in Phi_m below its leading x^phi."""
+    cyc = cyclotomic_polynomial(m).coeffs
+    return [(j, c) for j, c in enumerate(cyc[:-1]) if c]
+
+
+def _reduce(m: int, cs) -> list:
+    """The phi(m) power-basis coordinates of sum cs[e] * w_m^e, for any e >= 0.
+
+    Exponents first fold by x^m = 1 (Phi_m divides x^m - 1), then the monic
+    Phi_m divides from the top.  Integer input stays integer; the caller's
+    list is not changed."""
+    phi = euler_phi(m)
+    out = list(cs[:m])
+    for e in range(m, len(cs)):
+        out[e % m] += cs[e]
+    out += [_ZERO] * (phi - len(out))
+    low = _phi_terms(m)
+    for top in range(len(out) - 1, phi - 1, -1):
+        c = out[top]
+        if c:
+            base = top - phi
+            for j, a in low:
+                if a == 1:
+                    out[base + j] -= c
+                elif a == -1:
+                    out[base + j] += c
+                else:
+                    out[base + j] -= a * c
+    del out[phi:]
     return out
+
+
+@lru_cache(maxsize=None)
+def _roots(m: int) -> tuple["Cyclo", ...]:
+    """w_m^0, ..., w_m^(m-1), each tagged with its exponent.  Row e+1 is the
+    reduction of x * row e; the roots share one Fraction per coordinate value."""
+    rows = [[1] + [0] * (euler_phi(m) - 1)]
+    for _ in range(m - 1):
+        rows.append(_reduce(m, [0] + rows[-1]))
+    shared = {c: Fraction(c) for c in set().union(*rows)}
+    return tuple(Cyclo._make(m, tuple(map(shared.__getitem__, row)), e)
+                 for e, row in enumerate(rows))
+
+
+@lru_cache(maxsize=None)
+def _root_exp_index(m: int) -> dict[tuple[Fraction, ...], int]:
+    """coordinates of w_m^e -> e, for 0 <= e < m."""
+    return {r.coeffs: e for e, r in enumerate(_roots(m))}
 
 
 class Cyclo:
@@ -195,12 +200,13 @@ class Cyclo:
         self._rexp = None  # lazily detected root-power exponent (-1: not a root power)
 
     @staticmethod
-    def _make(order: int, coeffs: tuple) -> "Cyclo":
-        """Internal constructor: coeffs must already be a tuple of Fractions."""
+    def _make(order: int, coeffs: tuple, rexp: int | None = None) -> "Cyclo":
+        """Internal constructor: coeffs must already be a tuple of Fractions;
+        rexp is e when the element is w_order^e."""
         out = object.__new__(Cyclo)
         out.order = order
         out.coeffs = coeffs
-        out._rexp = None
+        out._rexp = rexp
         return out
 
     # -- constructors ---------------------------------------------------
@@ -219,17 +225,17 @@ class Cyclo:
 
     @staticmethod
     def from_power_counts(m: int, counts: list[int]) -> "Cyclo":
-        """sum of counts[e] * w_m^e over 0 <= e < len(counts) <= 2m + 1: the
-        reduction of an exponent histogram, such as a monomial trace's."""
-        out = _fold_powers(m, enumerate(counts), [0] * euler_phi(m))
-        return Cyclo._make(m, tuple(Fraction(x) if x else _ZERO for x in out))
+        """sum of counts[e] * w_m^e over 0 <= e < len(counts): the reduction
+        of an exponent histogram, such as a monomial trace's."""
+        return Cyclo._make(m, tuple(Fraction(x) if x else _ZERO for x in _reduce(m, counts)))
 
     @staticmethod
     def root(m: int, e: int = 1) -> "Cyclo":
-        """w_m^e for a fixed primitive m-th root of unity w_m."""
+        """w_m^e for a fixed primitive m-th root of unity w_m: the one shared
+        object for e mod m."""
         if m < 1:
             raise ParameterError(f"root of unity order must be >= 1, got {m}")
-        return _root_cached(m, e % m)
+        return _roots(m)[e % m]
 
     # -- order handling ---------------------------------------------------
 
@@ -239,9 +245,14 @@ class Cyclo:
             return self
         if m % self.order != 0:
             raise ParameterError(f"cannot promote order {self.order} into order {m}")
+        cs = self.coeffs
+        last = len(cs) - 1
+        while last and not cs[last]:
+            last -= 1
         mult = m // self.order
-        terms = ((i * mult, c) for i, c in enumerate(self.coeffs))
-        return Cyclo._make(m, tuple(_fold_powers(m, terms, [_ZERO] * euler_phi(m))))
+        terms = [_ZERO] * (last * mult + 1)
+        terms[::mult] = cs[: last + 1]
+        return Cyclo._make(m, tuple(_reduce(m, terms)))
 
     @staticmethod
     def _common(a: "Cyclo", b: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
@@ -283,15 +294,12 @@ class Cyclo:
 
     def _root_power_exp(self) -> int | None:
         """e with self == w_order^e, or None (powers this cheap drive hot paths)."""
-        cached = self._rexp
-        if cached is not None:
-            return None if cached < 0 else cached
-        if any(c.denominator != 1 for c in self.coeffs):
-            self._rexp = -1
-            return None
-        e = _root_exp_index(self.order).get(tuple(int(c) for c in self.coeffs))
-        self._rexp = -1 if e is None else e
-        return e
+        e = self._rexp
+        if e is None:
+            # the denominator test rejects most non-roots before any hashing
+            integral = all(c.denominator == 1 for c in self.coeffs)
+            e = self._rexp = _root_exp_index(self.order).get(self.coeffs, -1) if integral else -1
+        return None if e < 0 else e
 
     # -- arithmetic ---------------------------------------------------
 
@@ -334,8 +342,7 @@ class Cyclo:
                 for j, y in enumerate(b.coeffs):
                     if y:
                         conv[i + j] += x * y
-        out = _fold_powers(m, enumerate(conv[phi:], phi), conv[:phi])
-        return Cyclo._make(m, tuple(out))
+        return Cyclo._make(m, tuple(_reduce(m, conv)))
 
     __rmul__ = __mul__
 
@@ -378,8 +385,7 @@ class Cyclo:
             s0, s1 = s1, s_new
         g = r1[0]
         inv_poly = [c / g for c in s1]
-        # reduce modulo the cyclotomic polynomial
-        return Cyclo(m, _fold_powers(m, enumerate(inv_poly), [_ZERO] * euler_phi(m)))
+        return Cyclo(m, _reduce(m, inv_poly))
 
     def __truediv__(self, other) -> "Cyclo":
         return self * Cyclo._coerce(other).inverse()

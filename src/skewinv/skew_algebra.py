@@ -273,10 +273,6 @@ class Mat2:
         self.d = _coerce_scalar(d)
 
     @classmethod
-    def identity(cls) -> "Mat2":
-        return cls(1, 0, 0, 1)
-
-    @classmethod
     def diagonal(cls, a, d) -> "Mat2":
         return cls(a, 0, 0, d)
 

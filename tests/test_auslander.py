@@ -34,7 +34,7 @@ def test_smash_mul_twist():
     ctx = smash_context(G)
     w = Cyclo.root(6)  # root order 2nk = 6
     gidx = ctx.index[
-        next(e for e in ctx.elements if e.shape == "diagonal" and e.mono[1] == 2).key_at(6)
+        next(e for e in ctx.elements if e.shape == "diagonal" and e.mono[1] == 2).mono_key(6)
     ]
     x = SmashElt(ctx, {gidx: AlgebraElt.monomial(1, 1, 0)})
     y = smash_from_algebra(G, AlgebraElt.monomial(1, 0, 1))
@@ -164,7 +164,7 @@ def test_cyclic_counting_matches_generic():
 def _u_times_g(G):
     """The degree-1 seed u * g for the first group generator g."""
     ctx = smash_context(G)
-    g = ctx.index[G.generators()[0].key_at(ctx.key_order)]
+    g = ctx.index[G.generators()[0].mono_key(ctx.key_order)]
     return SmashElt(ctx, {g: AlgebraElt.monomial(1, 1, 0)})
 
 

@@ -122,6 +122,19 @@ def test_trace_element(capsys):
     assert "closed_form" in payload
 
 
+def test_trace_element_huge_power(capsys):
+    # g^(2m) = 1 for every generator, so the power is reduced mod 2m (m = 6)
+    # before any product: this word takes no longer than g^4*h^3
+    word = "g^1000000000*h^3"
+    argv = ("trace", *QM1_GNK, "3", "1", "--N", "12", "--element")
+    code, out, _ = run_cli(capsys, *argv, word)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["element"] == word
+    _, small, _ = run_cli(capsys, *argv, "g^4*h^3")
+    assert payload["series"] == json.loads(small)["series"]
+
+
 def test_present_verify_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "present", "--family", "jordan", "--n", "2")
     assert code == 0
@@ -182,8 +195,10 @@ def test_verify_pres_stdout_unchanged(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# stdout digests recorded while group products dropped their exponent form;
-# the products that keep it must reproduce them byte for byte
+# stdout digests recorded at the commits before two changes, which must
+# reproduce them byte for byte: group products that keep their exponent form
+# (the first nine), and roots of unity built once per order by one reduction
+# modulo Phi_m, with the smash-product index keyed by exponents (the rest)
 QM1_GNK = ("--algebra", "qminus1", "--group", "gnk")
 MONOMIAL_CORE_DIGESTS = [
     (
@@ -216,6 +231,25 @@ MONOMIAL_CORE_DIGESTS = [
         ("gh-identities", "5", "3", "--N", "30"),
         "6cc147ef930acbd5c9bf0dde995bb9b06291bebb4863a98effd2b3a74e67e146",
     ),
+    (("classify", *QM1_GNK, "29", "23"), "51ab1cb86f6729438b55d6cb506e0bcbc5e05a58c4082ac0fc906fe83956130c"),
+    (("classify", *QM1_GNK, "30", "24"), "67d233c5c794b01d9744150c2a51be12999df7f9c9953b5f1e543186efc2b38a"),
+    (
+        ("molien", "--algebra", "quantum", "--q", "root:7", "--group", "cyclic", "9", "4", "--N", "60"),
+        "147dc5299a98adfe1f0416ba2dee0350cad25c192e09eab516c38dd247cbd0e9",
+    ),
+    (
+        ("molien", *QM1_GNK, "8", "7", "--N", "60"),
+        "1e3752d390b72f76da8d4b01eb38d215a51dadcf8cae37bd6795dd83306397ae",
+    ),
+    (
+        ("trace", *QM1_GNK, "7", "5", "--element", "g*h^3", "--N", "24"),
+        "e573090248059988c6443147db6538bd21a29ea8a77a1646b7b850370697f488",
+    ),
+    (
+        ("present", "--family", "quantum", "--n", "7", "--a", "3", "--q", "root:7"),
+        "1a24314160d1612d66d07296b5e928a5ffc1addc1340a775bcc4aab70bd0938d",
+    ),
+    (("auslander", *QM1_GNK, "5", "3"), "638c2da49d45acb10c0fc56315e865201a9cb0855ca5ea12f6fe2e604c22da64"),
 ]
 
 
@@ -223,7 +257,9 @@ MONOMIAL_CORE_DIGESTS = [
     "argv,digest",
     MONOMIAL_CORE_DIGESTS,
     ids=["trace53_g2h", "trace53_h3", "trace42_ghg", "trace42_g4h2", "molien_comm6_5",
-         "theta34", "generators21", "classify64", "gh53"],
+         "theta34", "generators21", "classify64", "gh53", "classify29_23", "classify30_24",
+         "molien_q7_cyclic9_4", "molien_gnk87", "trace75_gh3", "present_quantum7_3",
+         "auslander53"],
 )
 def test_monomial_core_stdout_unchanged(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)

@@ -146,3 +146,78 @@ def test_primitivity_of_basis_root():
         assert (w ** m).is_one()
         for d in range(1, m):
             assert not (w ** d).is_one()
+
+
+def _x_power_mod_phi(m, r):
+    """x^r mod Phi_m by integer long division (Phi_m is monic)."""
+    cyc = cyclotomic_polynomial(m).coeffs
+    phi = len(cyc) - 1
+    rem = [0] * r + [1]
+    for top in range(r, phi - 1, -1):
+        c = rem[top]
+        if c:
+            for j, b in enumerate(cyc):
+                rem[top - phi + j] -= c * b
+    return tuple((rem + [0] * phi)[:phi])
+
+
+# Phi_105 and Phi_210 are the first with a coefficient other than 0 and +-1
+@pytest.mark.parametrize("m", list(range(1, 65)) + [105, 210])
+def test_root_is_x_power_mod_cyclotomic(m):
+    expected = [_x_power_mod_phi(m, r) for r in range(m)]
+    for e in range(-m, 3 * m + 1):
+        w = Cyclo.root(m, e)
+        assert w.order == m
+        assert w.coeffs == expected[e % m]
+        assert w is Cyclo.root(m, e + m)
+
+
+def test_from_power_counts_matches_root_sum():
+    rng = random.Random(11)
+    for m in list(range(1, 31)) + [36, 42, 60, 105]:
+        for length in (0, 1, m - 1, m, m + 1, 2 * m, 2 * m + 1, 3 * m):
+            counts = [rng.randint(-3, 3) for _ in range(length)]
+            expected = Cyclo.zero()
+            for e, c in enumerate(counts):
+                expected = expected + c * Cyclo.root(m, e)
+            got = Cyclo.from_power_counts(m, counts)
+            assert got.order == m
+            assert got.coeffs == expected.promote(m).coeffs
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 20, 30])
+def test_untagged_root_copy_acts_like_root(m):
+    for e in range(m):
+        w = Cyclo.root(m, e)
+        copy = Cyclo(m, w.coeffs)
+        assert copy == w and w == copy
+        for f in range(m):
+            prod = copy * Cyclo(m, Cyclo.root(m, f).coeffs)
+            assert prod.coeffs == Cyclo.root(m, e + f).coeffs
+            assert prod == Cyclo.root(m, e + f)
+        for p in range(-3, 6):
+            assert (copy ** p).coeffs == Cyclo.root(m, e * p).coeffs
+        # a vector with a non-integer coordinate is never taken for a root
+        half = Cyclo(m, (w.coeffs[0] + Fraction(1, 2),) + w.coeffs[1:])
+        assert half._root_power_exp() is None
+        assert half != w
+        assert half * half.inverse() == 1
+        assert Cyclo(m, [c / 2 for c in w.coeffs])._root_power_exp() is None
+
+
+def test_promote_is_a_ring_map_into_order_60():
+    rng = random.Random(60)
+    orders = [d for d in range(1, 61) if 60 % d == 0]
+    for _ in range(80):
+        a_order, b_order = rng.choice(orders), rng.choice(orders)
+        pair = []
+        for order in (a_order, b_order):
+            if rng.random() < 0.3:
+                pair.append(Cyclo.root(order, rng.randrange(order)))
+            else:
+                pair.append(_random_cyclo(rng, order))
+        a, b = pair
+        lhs = (a * b).promote(60)
+        rhs = a.promote(60) * b.promote(60)
+        assert lhs == rhs
+        assert lhs.coeffs == rhs.coeffs
