@@ -3,7 +3,7 @@ Jordan planes: Molien series, generators and presentations of the invariant
 rings, Hirzebruch-Jung continued-fraction data, and degree-truncated
 verification of the Auslander criterion on smash products."""
 
-from .scalars import Cyclo, IntPolynomial, Rational, cyclo_arith, cyclotomic_polynomial, gen_binomial
+from .scalars import Cyclo, IntPolynomial, Rational, cyclotomic_polynomial, gen_binomial
 from .skew_algebra import (
     AlgebraElt,
     AlgebraSpec,

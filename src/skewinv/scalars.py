@@ -488,27 +488,6 @@ def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return [x - y for x, y in zip(a, b)]
 
 
-def cyclo_arith(a: Cyclo, b: Cyclo, op: str) -> Cyclo:
-    """Field arithmetic dispatch: op in {add, sub, mul, div, pow}.
-
-    For pow, b must be a rational integer (negative allowed for nonzero a).
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        e = b.rational_value()
-        if e.denominator != 1:
-            raise ParameterError("pow exponent must be an integer")
-        return a ** int(e)
-    raise ParameterError(f"unknown op {op!r}")
-
-
 def gen_binomial(alpha, k: int) -> Fraction:
     """Generalized binomial alpha*(alpha-1)*...*(alpha-k+1)/k!."""
     if k < 0:

@@ -5,9 +5,8 @@ import pytest
 from skewinv.auslander import (
     GH_element,
     SmashElt,
-    _ideal_dims_cyclic_counting,
+    _ideal_dims_characters,
     _ideal_dims_generic,
-    _ideal_dims_gnk_graph,
     finite_dim_witness,
     gbar,
     ideal_contains,
@@ -26,6 +25,7 @@ from skewinv.skew_algebra import AlgebraElt, AlgebraSpec
 QM1 = AlgebraSpec.quantum(Cyclo.from_rational(-1))
 Q5 = AlgebraSpec.quantum(Cyclo.root(5))
 JORDAN = AlgebraSpec.jordan()
+COMM = AlgebraSpec.commutative()
 
 
 def test_smash_mul_twist():
@@ -129,43 +129,81 @@ def test_ideal_contains_u4v4_gnk31():
     assert ideal_contains(QM1, G, gbar(G), x)
 
 
-# The cross-checks read the raw per-degree ranks of each path, past the first
-# full degree, without the early stop of ideal_dims.
-
-
-def test_gnk_graph_path_matches_generic():
-    for n, k, N in ((3, 1, 12), (1, 4, 10), (5, 1, 10), (3, 2, 9), (5, 3, 7), (3, 4, 7)):
-        G = GroupSpec.gnk(n, k)
-        ctx = smash_context(G)
-        graph = list(_ideal_dims_gnk_graph(n, k, N))
-        assert graph == list(_ideal_dims_generic(QM1, ctx, gbar(G), 0, N))
-
-
-def test_degenerate_gnk_graph_path_matches_generic():
-    # n = 2 mod 4, k = 0 mod 4: G_(2,4) is G_(1,4), G_(6,4) is G_(3,4)
-    for n, k, N in ((2, 4, 12), (6, 4, 6)):
-        G = GroupSpec.gnk(n, k)
-        ctx = smash_context(G)
-        graph = list(_ideal_dims_gnk_graph(n // 2, k, N))
-        assert graph == list(_ideal_dims_generic(QM1, ctx, gbar(G), 0, N))
-        report = ideal_dims(QM1, G, gbar(G), N)
-        assert report["method"] == "gh_basis_graph"
-        assert [row["ideal_dim"] for row in report["per_degree"]] == graph
-
-
-def test_cyclic_counting_matches_generic():
-    for n, a, spec in ((3, 1, Q5), (4, 3, Q5), (5, 2, QM1), (6, 1, Q5)):
-        G = GroupSpec.cyclic(n, a, spec)
-        ctx = smash_context(G)
-        fast = list(_ideal_dims_cyclic_counting(spec, G.variant, 9))
-        assert fast == list(_ideal_dims_generic(spec, ctx, gbar(G), 0, 9))
-
-
 def _u_times_g(G):
     """The degree-1 seed u * g for the first group generator g."""
     ctx = smash_context(G)
     g = ctx.index[G.generators()[0].mono_key(ctx.key_order)]
     return SmashElt(ctx, {g: AlgebraElt.monomial(1, 1, 0)})
+
+
+# The cross-check reads the raw per-degree ranks of each path, past the first
+# full degree, without the early stop of ideal_dims.  The character path needs
+# no condition on (n, k): the cases include n even, gcd(n, k) > 1, the
+# degenerate pairs (G_(2,4) is G_(1,4), G_(6,4) is G_(3,4)) and dihedral groups.
+CHARACTER_CASES = [
+    (QM1, GroupSpec.gnk(3, 1), 12),
+    (QM1, GroupSpec.gnk(1, 4), 10),
+    (QM1, GroupSpec.gnk(5, 1), 10),
+    (QM1, GroupSpec.gnk(3, 2), 9),
+    (QM1, GroupSpec.gnk(5, 3), 7),
+    (QM1, GroupSpec.gnk(3, 4), 7),
+    (QM1, GroupSpec.gnk(2, 4), 12),
+    (QM1, GroupSpec.gnk(6, 4), 6),
+    (QM1, GroupSpec.gnk(2, 1), 10),
+    (QM1, GroupSpec.gnk(4, 1), 8),
+    (QM1, GroupSpec.gnk(2, 3), 8),
+    (QM1, GroupSpec.gnk(4, 3), 6),
+    (QM1, GroupSpec.gnk(3, 3), 7),
+    (Q5, GroupSpec.cyclic(3, 1, Q5), 9),
+    (Q5, GroupSpec.cyclic(4, 3, Q5), 9),
+    (QM1, GroupSpec.cyclic(5, 2, QM1), 9),
+    (Q5, GroupSpec.cyclic(6, 1, Q5), 9),
+    (COMM, GroupSpec.dihedral(3, 2), 7),
+    (COMM, GroupSpec.dihedral(4, 3), 7),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,G,N",
+    CHARACTER_CASES,
+    ids=["gnk_3_1", "gnk_1_4", "gnk_5_1", "gnk_3_2", "gnk_5_3", "gnk_3_4", "gnk_2_4",
+         "gnk_6_4", "gnk_2_1", "gnk_4_1", "gnk_2_3", "gnk_4_3", "gnk_3_3", "cyclic_3_1_q5",
+         "cyclic_4_3_q5", "cyclic_5_2_qm1", "cyclic_6_1_q5", "dihedral_3_2", "dihedral_4_3"],
+)
+def test_character_path_matches_generic(spec, G, N):
+    ctx = smash_context(G)
+    fast = list(_ideal_dims_characters(spec, ctx, N))
+    assert fast == list(_ideal_dims_generic(spec, ctx, gbar(G), 0, N))
+
+
+@pytest.mark.parametrize(
+    "spec,G,seed_of,N,method",
+    [
+        (Q5, GroupSpec.cyclic(4, 3, Q5), gbar, 8, "character_counting"),
+        (QM1, GroupSpec.cyclic(5, 2, QM1), gbar, 9, "character_counting"),
+        (QM1, GroupSpec.gnk(3, 1), gbar, 8, "gh_basis_graph"),
+        (QM1, GroupSpec.gnk(3, 3), gbar, 7, "gh_basis_graph"),
+        (QM1, GroupSpec.gnk(2, 4), gbar, 12, "gh_basis_graph"),
+        (QM1, GroupSpec.gnk(6, 4), gbar, 6, "gh_basis_graph"),
+        (COMM, GroupSpec.dihedral(3, 2), gbar, 7, "gh_basis_graph"),
+        (QM1, GroupSpec.gnk(2, 1), gbar, 6, "generic_span"),
+        (QM1, GroupSpec.gnk(4, 1), gbar, 4, "generic_span"),
+        (QM1, GroupSpec.gnk(2, 3), gbar, 4, "generic_span"),
+        (JORDAN, GroupSpec.cyclic(3, 1, JORDAN), gbar, 6, "generic_span"),
+        (QM1, GroupSpec.gnk(3, 1), _u_times_g, 4, "generic_span"),
+    ],
+    ids=["cyclic_4_3_q5", "cyclic_5_2_qm1", "gnk_3_1", "gnk_3_3", "gnk_2_4", "gnk_6_4",
+         "dihedral_3_2", "gnk_2_1_pinned", "gnk_4_1_pinned", "gnk_2_3_even", "jordan_3",
+         "gnk_3_1_u_g"],
+)
+def test_ideal_dims_dispatch(spec, G, seed_of, N, method):
+    # a gbar seed on a quantum plane takes the character path, except G_(n,k)
+    # with n even (other than n = 2 mod 4, 4 | k) and seeds other than gbar
+    report = ideal_dims(spec, G, seed_of(G), N)
+    assert report["method"] == method
+    if method != "generic_span":
+        raw = list(_ideal_dims_characters(spec, smash_context(G), N))
+        assert [row["ideal_dim"] for row in report["per_degree"]] == raw
 
 
 @pytest.mark.parametrize(
@@ -194,7 +232,7 @@ def test_first_full_degree_certificate(spec, G, seed_of, N):
 
 def test_no_full_degree_computes_every_degree():
     G = GroupSpec.gnk(3, 2)
-    raw = list(_ideal_dims_gnk_graph(3, 2, 24))
+    raw = list(_ideal_dims_characters(QM1, smash_context(G), 24))
     assert len(raw) == 25
     assert all(r < 12 * (d + 1) for d, r in enumerate(raw))
     assert [row["ideal_dim"] for row in ideal_dims(QM1, G, gbar(G), 24)["per_degree"]] == raw
@@ -219,7 +257,7 @@ def test_witness_not_found_for_non_small():
 
 
 def test_monotone_coverage_fraction():
-    dims = _ideal_dims_gnk_graph(3, 1, 16)
+    dims = _ideal_dims_characters(QM1, smash_context(GroupSpec.gnk(3, 1)), 16)
     fracs = [r / (6 * (d + 1)) for d, r in enumerate(dims)]
     full_from = next(i for i, f in enumerate(fracs) if f == 1.0)
     assert all(f == 1.0 for f in fracs[full_from:])

@@ -279,6 +279,21 @@ def test_auslander_degenerate_gnk_takes_graph_path(capsys):
     )
 
 
+def test_auslander_gnk33_takes_character_path(capsys):
+    # G_(3,3) (n and k not coprime, not small) used to take the generic span;
+    # the digest was recorded with it at N = 10, where it took 5 s
+    code, out, err = run_cli(capsys, "auslander", *QM1_GNK, "3", "3", "--N", "10")
+    assert code == 0
+    assert "(gh_basis_graph)" in err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "346cdcf0f4eca363d5039213f74a3e62b14c8bbae5c855dc31b511e8b05b943c"
+    )
+    code, out, _ = run_cli(capsys, "auslander", *QM1_GNK, "3", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["N"] == 40 and payload["witness"] == "not_found"
+
+
 def test_zero_denominators_rejected(capsys):
     code, out, err = run_cli(
         capsys, "molien", "--algebra", "quantum", "--q", "1/0", "--group", "cyclic", "3", "1",
