@@ -27,7 +27,6 @@ from .group_actions import (
     group_report,
     hdet,
     is_quasi_reflection,
-    is_quasi_reflection_by_series,
     trace,
 )
 from .hj_series import (

@@ -101,8 +101,9 @@ def molien(spec: AlgebraSpec, G: GroupSpec, N: int) -> TruncatedSeries:
     """hilb A^G truncated at N: the group average of the trace series.
 
     The traces are summed as one exponent histogram over w_m per degree and
-    reduced once.  Coefficients must come out rational (the imaginary parts
-    cancel); a non-rational coefficient raises InternalInconsistencyError.
+    reduced once.  Each average is a dimension, so it must come out an integer
+    (the imaginary parts cancel and |G| divides the total); any other value
+    raises InternalInconsistencyError.
     """
     elems = _elements_for(spec, G)
     m = G.root_order
@@ -114,8 +115,12 @@ def molien(spec: AlgebraSpec, G: GroupSpec, N: int) -> TruncatedSeries:
             raise InternalInconsistencyError(
                 f"Molien coefficient at degree {d} is not rational"
             )
-        # an integer: the counts are integers and the rational part is coeffs[0]
-        coeffs.append(Cyclo.from_rational(Fraction(total.coeffs[0].numerator, len(elems))))
+        average = total.rational_value() / len(elems)
+        if average.denominator != 1:
+            raise InternalInconsistencyError(
+                f"Molien coefficient at degree {d} is not an integer: {average}"
+            )
+        coeffs.append(Cyclo.from_rational(average))
     return TruncatedSeries(coeffs)
 
 

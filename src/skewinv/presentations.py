@@ -21,7 +21,7 @@ from .errors import ParameterError
 from .group_actions import GroupSpec
 from .hj_series import typeA_data
 from .invariants import GeneratorSet, generator_set, molien
-from .linalg import SpanBuilder, nullspace, rref, vec_add_scaled
+from .linalg import nullspace, rref, vec_add_scaled
 from .scalars import Cyclo, gen_binomial
 from .skew_algebra import AlgebraElt, AlgebraSpec, mul, to_text
 
@@ -334,41 +334,6 @@ def truncated_quotient_dims(pres: Presentation, N: int) -> list[int]:
     dp = _QuotientDP(pres)
     dp.extend_to(N)
     return dp.dims[: N + 1]
-
-
-def quotient_dims_bruteforce(pres: Presentation, N: int) -> list[int]:
-    """Oracle: materialize the sandwich span {w * rho * w'} per degree and take ranks."""
-    words: list[list[FreeWord]] = [[()]]
-    for d in range(1, N + 1):
-        level: list[FreeWord] = []
-        for g, e in enumerate(pres.gen_degrees):
-            if e <= d:
-                level.extend((g,) + w for w in words[d - e])
-        words.append(level)
-    dims = []
-    for d in range(N + 1):
-        index = {w: i for i, w in enumerate(words[d])}
-        span = SpanBuilder(full_reduce=False)
-        for ridx, rel in enumerate(pres.relations):
-            r = pres.relation_degree(ridx)
-            if r > d:
-                continue
-            for d1 in range(d - r + 1):
-                for w1 in words[d1]:
-                    for w2 in words[d - r - d1]:
-                        vec = {}
-                        for c, w in rel:
-                            col = index[w1 + w + w2]
-                            cur = vec.get(col)
-                            new = c if cur is None else cur + c
-                            if new.is_zero():
-                                vec.pop(col, None)
-                            else:
-                                vec[col] = new
-                        if vec:
-                            span.add(vec)
-        dims.append(len(words[d]) - span.rank)
-    return dims
 
 
 def verify_presentation(

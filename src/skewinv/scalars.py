@@ -1,23 +1,29 @@
 """Exact scalar arithmetic: rationals, cyclotomic fields Q(w_m), binomials.
 
 Rationals are `fractions.Fraction` (arbitrary precision, always reduced,
-positive denominator).  A `Cyclo` is an element of Q(w_m) stored in the
-power basis 1, w, ..., w^(phi(m)-1) modulo the m-th cyclotomic polynomial,
-so equality is a coefficient comparison.  Mixed-order arithmetic promotes
-both operands to the lcm order.
+positive denominator).  A `Cyclo` is an element of Q(w_m) in the power basis
+1, w, ..., w^(phi(m)-1) modulo the m-th cyclotomic polynomial, stored as one
+integer numerator tuple `num` over one positive integer denominator `den`.
+The normal form has gcd(num, den) = 1, and zero is stored with den 1, so
+equality is a tuple comparison.  Almost every value in the hot paths (roots,
+trace sums, smash-product coefficients) has den 1, and then a sum or product
+needs no gcd at all.  `coeffs` is a read-only `Fraction` view of the
+coordinates, for rendering.  Mixed-order arithmetic promotes both operands
+to the lcm order.
 
-One reduction, `_reduce`, turns a coefficient list indexed by any exponents
-into power-basis coordinates: it folds exponents by x^m = 1, then divides by
-the monic Phi_m.  Products, promotion, inverses, exponent histograms and the
-roots themselves go through it.  Each root of unity exists once: `_roots(m)`
-holds w_m^0 .. w_m^(m-1) as `Cyclo`s tagged with their exponent, so
-`Cyclo.root(m, e)` is `Cyclo.root(m, e + m)` and a product of two roots is
-an exponent sum.
+One reduction, `_reduce`, turns an integer coefficient list indexed by any
+exponents into power-basis coordinates: it folds exponents by x^m = 1, then
+divides by the monic Phi_m.  Products, promotion, inverses, exponent
+histograms and the roots themselves go through it.  Each root of unity exists
+once: `_roots(m)` holds w_m^0 .. w_m^(m-1) as `Cyclo`s tagged with their
+exponent, so `Cyclo.root(m, e)` is `Cyclo.root(m, e + m)` and a product of
+two roots is an exponent sum.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -128,10 +134,6 @@ def cyclotomic_polynomial(m: int) -> IntPolynomial:
     return xm1.exact_div(den)
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 @lru_cache(maxsize=None)
 def _phi_terms(m: int) -> list[tuple[int, int]]:
     """(j, c) for the nonzero coefficients c of x^j in Phi_m below its leading x^phi."""
@@ -139,17 +141,17 @@ def _phi_terms(m: int) -> list[tuple[int, int]]:
     return [(j, c) for j, c in enumerate(cyc[:-1]) if c]
 
 
-def _reduce(m: int, cs) -> list:
+def _reduce(m: int, cs) -> list[int]:
     """The phi(m) power-basis coordinates of sum cs[e] * w_m^e, for any e >= 0.
 
     Exponents first fold by x^m = 1 (Phi_m divides x^m - 1), then the monic
-    Phi_m divides from the top.  Integer input stays integer; the caller's
-    list is not changed."""
+    Phi_m divides from the top.  Integers in, integers out; the caller's list
+    is not changed."""
     phi = euler_phi(m)
     out = list(cs[:m])
     for e in range(m, len(cs)):
         out[e % m] += cs[e]
-    out += [_ZERO] * (phi - len(out))
+    out += [0] * (phi - len(out))
     low = _phi_terms(m)
     for top in range(len(out) - 1, phi - 1, -1):
         c = out[top]
@@ -166,68 +168,103 @@ def _reduce(m: int, cs) -> list:
     return out
 
 
+def _mul_num(m: int, a: tuple, b: tuple) -> list[int]:
+    """Numerators of a * b in Q(w_m): integer convolution, then `_reduce`."""
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                if y:
+                    conv[k] += x * y
+    return _reduce(m, conv)
+
+
 @lru_cache(maxsize=None)
 def _roots(m: int) -> tuple["Cyclo", ...]:
     """w_m^0, ..., w_m^(m-1), each tagged with its exponent.  Row e+1 is the
-    reduction of x * row e; the roots share one Fraction per coordinate value."""
+    reduction of x * row e."""
     rows = [[1] + [0] * (euler_phi(m) - 1)]
     for _ in range(m - 1):
         rows.append(_reduce(m, [0] + rows[-1]))
-    shared = {c: Fraction(c) for c in set().union(*rows)}
-    return tuple(Cyclo._make(m, tuple(map(shared.__getitem__, row)), e)
-                 for e, row in enumerate(rows))
+    return tuple(Cyclo._make(m, tuple(row), 1, e) for e, row in enumerate(rows))
 
 
 @lru_cache(maxsize=None)
-def _root_exp_index(m: int) -> dict[tuple[Fraction, ...], int]:
-    """coordinates of w_m^e -> e, for 0 <= e < m."""
-    return {r.coeffs: e for e, r in enumerate(_roots(m))}
+def _root_exp_index(m: int) -> dict[tuple[int, ...], int]:
+    """numerators of w_m^e -> e, for 0 <= e < m (every root has den 1)."""
+    return {r.num: e for e, r in enumerate(_roots(m))}
 
 
 class Cyclo:
-    """An element of Q(w_m) in the power basis modulo the m-th cyclotomic polynomial."""
+    """An element of Q(w_m): power-basis numerators `num` over one denominator `den`."""
 
-    __slots__ = ("order", "coeffs", "_rexp")
+    __slots__ = ("order", "num", "den", "_rexp")
 
     def __init__(self, order: int, coeffs):
-        self.order = order
-        cs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
-        if len(cs) != euler_phi(order):
+        fs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        if len(fs) != euler_phi(order):
             raise ParameterError(
-                f"need {euler_phi(order)} coefficients for order {order}, got {len(cs)}"
+                f"need {euler_phi(order)} coefficients for order {order}, got {len(fs)}"
             )
-        self.coeffs = cs
+        # over the lcm of reduced denominators, some numerator is prime to each
+        # prime power of it, so the result is already in normal form
+        den = 1
+        for c in fs:
+            den = lcm(den, c.denominator)
+        self.order = order
+        self.num = tuple(c.numerator * (den // c.denominator) for c in fs)
+        self.den = den
         self._rexp = None  # lazily detected root-power exponent (-1: not a root power)
 
     @staticmethod
-    def _make(order: int, coeffs: tuple, rexp: int | None = None) -> "Cyclo":
-        """Internal constructor: coeffs must already be a tuple of Fractions;
+    def _make(order: int, num: tuple, den: int, rexp: int | None = None) -> "Cyclo":
+        """Internal constructor: (num, den) must already be in normal form;
         rexp is e when the element is w_order^e."""
         out = object.__new__(Cyclo)
         out.order = order
-        out.coeffs = coeffs
+        out.num = num
+        out.den = den
         out._rexp = rexp
         return out
+
+    @staticmethod
+    def _normal(order: int, num, den: int) -> "Cyclo":
+        """The element num/den for any integer list num and den > 0."""
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = [x // g for x in num]
+                den //= g
+        return Cyclo._make(order, tuple(num), den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions (a read-only view)."""
+        d = self.den
+        return tuple(Fraction(x, d) for x in self.num)
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def from_rational(x) -> "Cyclo":
-        return Cyclo(1, (Fraction(x),))
+        if type(x) is not int:
+            x = Fraction(x)
+            return Cyclo._make(1, (x.numerator,), x.denominator)
+        return Cyclo._make(1, (x,), 1)
 
     @staticmethod
     def zero() -> "Cyclo":
-        return Cyclo(1, (_ZERO,))
+        return Cyclo._make(1, (0,), 1)
 
     @staticmethod
     def one() -> "Cyclo":
-        return Cyclo(1, (_ONE,))
+        return Cyclo._make(1, (1,), 1)
 
     @staticmethod
     def from_power_counts(m: int, counts: list[int]) -> "Cyclo":
         """sum of counts[e] * w_m^e over 0 <= e < len(counts): the reduction
         of an exponent histogram, such as a monomial trace's."""
-        return Cyclo._make(m, tuple(Fraction(x) if x else _ZERO for x in _reduce(m, counts)))
+        return Cyclo._make(m, tuple(_reduce(m, counts)), 1)
 
     @staticmethod
     def root(m: int, e: int = 1) -> "Cyclo":
@@ -240,19 +277,23 @@ class Cyclo:
     # -- order handling ---------------------------------------------------
 
     def promote(self, m: int) -> "Cyclo":
-        """Reinterpret in Q(w_m); requires order | m."""
+        """Reinterpret in Q(w_m); requires order | m.
+
+        The denominator stays: Z[w_m] meets Q(w_order) in Z[w_order], whose
+        power basis is integral, so no prime divides every new numerator
+        unless it divided every old one."""
         if m == self.order:
             return self
         if m % self.order != 0:
             raise ParameterError(f"cannot promote order {self.order} into order {m}")
-        cs = self.coeffs
+        cs = self.num
         last = len(cs) - 1
         while last and not cs[last]:
             last -= 1
         mult = m // self.order
-        terms = [_ZERO] * (last * mult + 1)
+        terms = [0] * (last * mult + 1)
         terms[::mult] = cs[: last + 1]
-        return Cyclo._make(m, tuple(_reduce(m, terms)))
+        return Cyclo._make(m, tuple(_reduce(m, terms)), self.den)
 
     @staticmethod
     def _common(a: "Cyclo", b: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
@@ -272,18 +313,18 @@ class Cyclo:
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ParameterError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def is_root_of_unity(self) -> bool:
         """True iff self generates a finite multiplicative group (so lies in <±w>)."""
@@ -296,26 +337,31 @@ class Cyclo:
         """e with self == w_order^e, or None (powers this cheap drive hot paths)."""
         e = self._rexp
         if e is None:
-            # the denominator test rejects most non-roots before any hashing
-            integral = all(c.denominator == 1 for c in self.coeffs)
-            e = self._rexp = _root_exp_index(self.order).get(self.coeffs, -1) if integral else -1
+            # every root has den 1, which rejects most non-roots before any hashing
+            e = self._rexp = _root_exp_index(self.order).get(self.num, -1) if self.den == 1 else -1
         return None if e < 0 else e
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other) -> "Cyclo":
-        other = Cyclo._coerce(other)
-        if self.is_zero():
+        if type(other) is not Cyclo:
+            other = Cyclo._coerce(other)
+        if not any(self.num):
             return other
-        if other.is_zero():
+        if not any(other.num):
             return self
-        a, b = Cyclo._common(self, other)
-        return Cyclo._make(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        a, b = (self, other) if self.order == other.order else Cyclo._common(self, other)
+        da, db = a.den, b.den
+        if da == db:
+            return Cyclo._normal(a.order, tuple(map(operator.add, a.num, b.num)), da)
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        return Cyclo._normal(a.order, [x * fa + y * fb for x, y in zip(a.num, b.num)], da * fa)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclo":
-        return Cyclo._make(self.order, tuple(-c for c in self.coeffs))
+        return Cyclo._make(self.order, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other) -> "Cyclo":
         return self + (-Cyclo._coerce(other))
@@ -324,68 +370,62 @@ class Cyclo:
         return Cyclo._coerce(other) - self
 
     def __mul__(self, other) -> "Cyclo":
-        a, b = Cyclo._common(self, Cyclo._coerce(other))
+        t = type(other)
+        if t is not Cyclo:
+            if t is int:
+                return self._scale(other, 1)
+            if t is Fraction:
+                return self._scale(other.numerator, other.denominator)
+            other = Cyclo._coerce(other)
+        a, b = (self, other) if self.order == other.order else Cyclo._common(self, other)
+        na, nb = a.num, b.num
+        if not any(na[1:]):
+            return b._scale(na[0], a.den)
+        if not any(nb[1:]):
+            return a._scale(nb[0], b.den)
         m = a.order
-        if m == 1:
-            return Cyclo._make(1, (a.coeffs[0] * b.coeffs[0],))
-        if a.is_rational():
-            return Cyclo._scale_fast(b, a.coeffs[0])
-        if b.is_rational():
-            return Cyclo._scale_fast(a, b.coeffs[0])
         ea, eb = a._root_power_exp(), b._root_power_exp()
         if ea is not None and eb is not None:
             return Cyclo.root(m, ea + eb)
-        phi = euler_phi(m)
-        conv = [_ZERO] * (2 * phi - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        conv[i + j] += x * y
-        return Cyclo._make(m, tuple(_reduce(m, conv)))
+        return Cyclo._normal(m, _mul_num(m, na, nb), a.den * b.den)
 
     __rmul__ = __mul__
 
-    @staticmethod
-    def _scale_fast(x: "Cyclo", r: Fraction) -> "Cyclo":
-        if r == 1:
-            return x
-        if r == -1:
-            e = x._root_power_exp()
-            if e is not None and x.order % 2 == 0:
-                return Cyclo.root(x.order, e + x.order // 2)
-            return Cyclo._make(x.order, tuple(-c for c in x.coeffs))
-        return Cyclo._make(x.order, tuple(r * c for c in x.coeffs))
+    def _scale(self, p: int, q: int) -> "Cyclo":
+        """self * p/q for integers p and q > 0."""
+        if q == 1:
+            if p == 1:
+                return self
+            if p == -1:
+                e = self._root_power_exp()
+                if e is not None and self.order % 2 == 0:
+                    return Cyclo.root(self.order, e + self.order // 2)
+                return -self
+        return Cyclo._normal(self.order, [p * c for c in self.num], q * self.den)
 
     def inverse(self) -> "Cyclo":
+        """1/self: the product of the other Galois conjugates over the norm.
+
+        sigma_k (k prime to m) sends w to w^k, and the product of all
+        sigma_k(x) is the norm N(x).  For m > 2, sigma_(-1) is complex
+        conjugation, so N(x) is a product of |sigma_k(x)|^2, positive for
+        x != 0.  With x = a/d for integer numerators a, 1/x = d * adj(a) / N(a),
+        where adj(a) is the product of the sigma_k(a) with k != 1."""
         if self.is_zero():
             raise CycloDivisionError("division by zero in Q(w_m)")
-        m = self.order
+        m, a = self.order, self.num
         if self.is_rational():
-            return Cyclo(m, (1 / self.coeffs[0],) + (_ZERO,) * (euler_phi(m) - 1))
-        # extended gcd of self (as a polynomial) with the cyclotomic polynomial
-        cyc = [Fraction(c) for c in cyclotomic_polynomial(m).coeffs]
-        r0, r1 = cyc, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def trim(p):
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
-        r1 = trim(r1)
-        while True:
-            if not r1:
-                raise CycloDivisionError("non-invertible element (should not happen)")
-            if len(r1) == 1:
-                break
-            q, rem = _poly_divmod(r0, r1)
-            s_new = _poly_sub(s0, _poly_mul(q, s1))
-            r0, r1 = r1, trim(rem)
-            s0, s1 = s1, s_new
-        g = r1[0]
-        inv_poly = [c / g for c in s1]
-        return Cyclo(m, _reduce(m, inv_poly))
+            p = a[0]
+            return Cyclo._make(m, (self.den if p > 0 else -self.den,) + a[1:], abs(p))
+        adj: tuple = (1,)
+        for k in range(2, m):
+            if math.gcd(k, m) == 1:
+                counts = [0] * m
+                for i, c in enumerate(a):
+                    counts[i * k % m] += c
+                adj = tuple(_mul_num(m, adj, _reduce(m, counts)))
+        norm = _mul_num(m, a, adj)[0]
+        return Cyclo._normal(m, [self.den * c for c in adj], norm)
 
     def __truediv__(self, other) -> "Cyclo":
         return self * Cyclo._coerce(other).inverse()
@@ -398,10 +438,12 @@ class Cyclo:
         if e is not None:
             return Cyclo.root(self.order, e * n)
         if self.is_rational():
-            r = self.coeffs[0]
-            if n < 0 and r == 0:
-                raise CycloDivisionError("division by zero in Q(w_m)")
-            return Cyclo._make(self.order, (r ** n,) + self.coeffs[1:])
+            p, q = self.num[0], self.den
+            if n < 0:
+                if not p:
+                    raise CycloDivisionError("division by zero in Q(w_m)")
+                p, q, n = (q, p, -n) if p > 0 else (-q, -p, -n)
+            return Cyclo._make(self.order, (p ** n,) + self.num[1:], q ** n)
         if n < 0:
             return self.inverse() ** (-n)
         result = Cyclo.one()
@@ -424,19 +466,20 @@ class Cyclo:
         ea, eb = a._rexp, b._rexp
         if ea is not None and eb is not None and ea >= 0 and eb >= 0:
             return ea == eb
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     __hash__ = None  # cross-order equality promotes; use key_at() for hashing
 
     def key_at(self, m: int) -> tuple:
-        """Hashable canonical coordinates in Q(w_m); requires order | m."""
-        return self.promote(m).coeffs
+        """Hashable normal form (numerators, denominator) in Q(w_m); requires order | m."""
+        p = self.promote(m)
+        return p.num, p.den
 
     # -- rendering ---------------------------------------------------
 
     def __str__(self) -> str:
         if self.is_rational():
-            return str(self.coeffs[0])
+            return str(self.rational_value())
         parts = []
         for e, c in enumerate(self.coeffs):
             if c == 0:
@@ -454,38 +497,6 @@ class Cyclo:
 
     def to_json(self) -> dict:
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
-    while len(num) >= len(den):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) < len(den):
-            break
-        shift = len(num) - len(den)
-        c = num[-1] / den[-1]
-        q[shift] = c
-        for j, b in enumerate(den):
-            num[shift + j] -= c * b
-    return q, num
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 def gen_binomial(alpha, k: int) -> Fraction:

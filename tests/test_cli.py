@@ -294,6 +294,17 @@ def test_auslander_gnk33_takes_character_path(capsys):
     assert payload["N"] == 40 and payload["witness"] == "not_found"
 
 
+def test_auslander_generic_span_over_order_12(capsys):
+    # G_(2,3) keeps the generic span, over Q(w_12); the digest was recorded
+    # with scalars stored as one Fraction per coordinate
+    code, out, err = run_cli(capsys, "auslander", *QM1_GNK, "2", "3", "--N", "12")
+    assert code == 0
+    assert "(generic_span)" in err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d8b0541dd3f598f9d646104660afb3f96eb5b2f451f2ddd57bf427e2c64f4601"
+    )
+
+
 def test_zero_denominators_rejected(capsys):
     code, out, err = run_cli(
         capsys, "molien", "--algebra", "quantum", "--q", "1/0", "--group", "cyclic", "3", "1",

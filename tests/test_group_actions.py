@@ -7,19 +7,19 @@ from skewinv.group_actions import (
     GradedAut,
     GroupSpec,
     RationalFunction,
+    _check_finite_order,
     enumerate_group,
     gnk_is_degenerate,
     group_report,
     hdet,
     is_quasi_reflection,
-    is_quasi_reflection_by_series,
     is_small_brute,
     is_small_closed_form,
     trace,
     trace_series,
 )
 from skewinv.scalars import Cyclo, lcm
-from skewinv.skew_algebra import AlgebraSpec, Mat2
+from skewinv.skew_algebra import AlgebraSpec, Mat2, validate_automorphism
 
 QM1 = AlgebraSpec.quantum(Cyclo.from_rational(-1))
 Q5 = AlgebraSpec.quantum(Cyclo.root(5))
@@ -187,6 +187,24 @@ def test_quasi_reflection_examples():
     assert is_quasi_reflection(QM1, GradedAut(0, w8, -(w8 ** -1), 0))  # bc = -1
     assert is_quasi_reflection(COMM, GradedAut.antidiag_power(2, 0, 0))  # Example: bc = 1
     assert not is_quasi_reflection(QM1, GradedAut.antidiag_power(2, 0, 0))
+
+
+def is_quasi_reflection_by_series(spec: AlgebraSpec, g: GradedAut, N: int = 12) -> bool:
+    """Series oracle: trace * (1 - t) must be geometric 1/(1 - lambda t), lambda != 1."""
+    validate_automorphism(spec, g)
+    _check_finite_order(spec, g)
+    series = trace_series(spec, g, N).mul_poly([1, -1])
+    if not series[0].is_one():
+        return False
+    lam = series[1]
+    if lam == 1:
+        return False
+    acc = Cyclo.one()
+    for d in range(1, N + 1):
+        acc = acc * lam
+        if not (series[d] - acc).is_zero():
+            return False
+    return True
 
 
 def test_quasi_reflection_closed_form_agrees_with_series_oracle():

@@ -3,7 +3,8 @@ from math import gcd
 
 import pytest
 
-from skewinv.errors import ParameterError
+from skewinv import invariants
+from skewinv.errors import InternalInconsistencyError, ParameterError
 from skewinv.group_actions import GroupSpec, RationalFunction, enumerate_group
 from skewinv.invariants import (
     eta_map,
@@ -85,6 +86,17 @@ def test_molien_counting_agrees_with_generic_sum():
             total = s if total is None else total + s
         slow = [c * Fraction(1, len(elems)) for c in total.coeffs]
         assert all((a - b).is_zero() for a, b in zip(fast.coeffs, slow))
+
+
+def test_molien_rejects_an_average_that_is_not_an_integer(monkeypatch):
+    G = GroupSpec.gnk(3, 2)
+    # a total of 1 over |G| = 12 elements, then a total of w_m
+    monkeypatch.setattr(invariants, "trace_counts", lambda spec, m, keys, d: [1])
+    with pytest.raises(InternalInconsistencyError, match="not an integer"):
+        molien(G.ambient, G, 2)
+    monkeypatch.setattr(invariants, "trace_counts", lambda spec, m, keys, d: [0, 1])
+    with pytest.raises(InternalInconsistencyError, match="not rational"):
+        molien(G.ambient, G, 2)
 
 
 @pytest.mark.parametrize(

@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 from skewinv.errors import ParameterError
 from skewinv.group_actions import GroupSpec
 from skewinv.invariants import generator_set
+from skewinv.linalg import SpanBuilder
 from skewinv.presentations import (
+    FreeWord,
     Presentation,
     discover_relations,
     eval_relations,
     gnk73_presentation,
     jordan_presentation,
     quantum_presentation,
-    quotient_dims_bruteforce,
     truncated_quotient_dims,
     verify_presentation,
 )
@@ -203,6 +204,41 @@ def test_quotient_dims_jordan_n2():
     pres = jordan_presentation(2)
     dims = truncated_quotient_dims(pres, 12)
     assert dims == [1, 0, 3, 0, 5, 0, 7, 0, 9, 0, 11, 0, 13]
+
+
+def quotient_dims_bruteforce(pres: Presentation, N: int) -> list[int]:
+    """Oracle: materialize the sandwich span {w * rho * w'} per degree and take ranks."""
+    words: list[list[FreeWord]] = [[()]]
+    for d in range(1, N + 1):
+        level: list[FreeWord] = []
+        for g, e in enumerate(pres.gen_degrees):
+            if e <= d:
+                level.extend((g,) + w for w in words[d - e])
+        words.append(level)
+    dims = []
+    for d in range(N + 1):
+        index = {w: i for i, w in enumerate(words[d])}
+        span = SpanBuilder(full_reduce=False)
+        for ridx, rel in enumerate(pres.relations):
+            r = pres.relation_degree(ridx)
+            if r > d:
+                continue
+            for d1 in range(d - r + 1):
+                for w1 in words[d1]:
+                    for w2 in words[d - r - d1]:
+                        vec = {}
+                        for c, w in rel:
+                            col = index[w1 + w + w2]
+                            cur = vec.get(col)
+                            new = c if cur is None else cur + c
+                            if new.is_zero():
+                                vec.pop(col, None)
+                            else:
+                                vec[col] = new
+                        if vec:
+                            span.add(vec)
+        dims.append(len(words[d]) - span.rank)
+    return dims
 
 
 def test_quotient_dims_match_bruteforce_oracle():

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewinv.errors import CycloDivisionError
 from skewinv.scalars import (
@@ -10,6 +13,7 @@ from skewinv.scalars import (
     cyclotomic_polynomial,
     euler_phi,
     gen_binomial,
+    lcm,
 )
 
 
@@ -220,3 +224,97 @@ def test_promote_is_a_ring_map_into_order_60():
         rhs = a.promote(60) * b.promote(60)
         assert lhs == rhs
         assert lhs.coeffs == rhs.coeffs
+
+
+# An independent oracle for Q(w_m): power-basis coordinates as Fractions,
+# products by polynomial multiplication, then long division by Phi_m.
+def _oracle_mod(m, poly):
+    cyc = cyclotomic_polynomial(m).coeffs
+    phi = len(cyc) - 1
+    rem = list(poly) + [Fraction(0)] * (phi - len(poly))
+    for top in range(len(rem) - 1, phi - 1, -1):
+        c = rem[top]
+        if c:
+            for j, b in enumerate(cyc):
+                rem[top - phi + j] -= c * b
+    return rem[:phi]
+
+
+def _oracle_mul(m, a, b):
+    poly = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            poly[i + j] += x * y
+    return _oracle_mod(m, poly)
+
+
+def _oracle_promote(m, cs, M):
+    step = M // m
+    poly = [Fraction(0)] * ((len(cs) - 1) * step + 1)
+    poly[::step] = cs
+    return _oracle_mod(M, poly)
+
+
+_ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 20, 24, 30]
+_RATIONALS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+).map(Fraction)
+
+
+@st.composite
+def _elements(draw):
+    """(order, oracle coordinates, Cyclo): a root, a rational or a general element."""
+    m = draw(st.sampled_from(_ORDERS))
+    phi = euler_phi(m)
+    kind = draw(st.sampled_from(["root", "rational", "general"]))
+    if kind == "root":
+        e = draw(st.integers(-m, 2 * m))
+        return m, _oracle_mod(m, [Fraction(0)] * (e % m) + [Fraction(1)]), Cyclo.root(m, e)
+    if kind == "rational":
+        cs = [draw(_RATIONALS)] + [Fraction(0)] * (phi - 1)
+    else:
+        cs = draw(st.lists(_RATIONALS, min_size=phi, max_size=phi))
+    return m, cs, Cyclo(m, cs)
+
+
+def _assert_matches(x, M, coords):
+    """x, read in Q(w_M), has the oracle's coordinates and is in normal form."""
+    assert M % x.order == 0
+    y = x.promote(M)
+    assert y.coeffs == tuple(coords)
+    for z in (x, y):
+        assert z.den > 0 and math.gcd(z.den, *z.num) == 1
+        if not any(z.num):
+            assert z.den == 1
+    assert x.key_at(M) == (y.num, y.den) == Cyclo(M, coords).key_at(M)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_elements(), _elements(), _RATIONALS)
+def test_arithmetic_matches_fraction_oracle(a, b, r):
+    (ma, ca, x), (mb, cb, y) = a, b
+    M = lcm(ma, mb)
+    pa, pb = _oracle_promote(ma, ca, M), _oracle_promote(mb, cb, M)
+    _assert_matches(x, ma, ca)
+    _assert_matches(x.promote(M), M, pa)
+    _assert_matches(x + y, M, [s + t for s, t in zip(pa, pb)])
+    _assert_matches(x - y, M, [s - t for s, t in zip(pa, pb)])
+    _assert_matches(-x, ma, [-s for s in ca])
+    _assert_matches(x * y, M, _oracle_mul(M, pa, pb))
+    _assert_matches(x * r, ma, [s * r for s in ca])
+    _assert_matches(r * x, ma, [s * r for s in ca])
+    _assert_matches(x + r, ma, [ca[0] + r] + ca[1:])
+    assert (x == y) == (pa == pb)
+    cube = _oracle_mul(ma, _oracle_mul(ma, ca, ca), ca)
+    _assert_matches(x ** 3, ma, cube)
+    if any(ca):
+        inv = x.inverse()
+        assert inv.order == ma
+        _assert_matches(inv, ma, inv.coeffs)
+        assert _oracle_mul(ma, ca, list(inv.coeffs)) == _oracle_mod(ma, [Fraction(1)])
+        inv_cube = x ** -3
+        _assert_matches(inv_cube, ma, inv_cube.coeffs)
+        assert _oracle_mul(ma, cube, list(inv_cube.coeffs)) == _oracle_mod(ma, [Fraction(1)])
+        if any(cb):
+            _assert_matches(y / x, M, _oracle_mul(M, pb, _oracle_promote(ma, list(inv.coeffs), M)))
