@@ -1,13 +1,19 @@
-"""Exact sparse linear algebra over Q(w_m): one elimination engine.
+"""Sparse linear algebra over a field: one elimination engine.
 
-Vectors are dicts {column index: Cyclo} with no zero entries.  Pivoting is
+Vectors are dicts {column index: scalar} with no zero entries.  Pivoting is
 always on the smallest column index, so reduced bases are deterministic.
-`SpanBuilder` is the engine; `rref` and `nullspace` are built on it.
+`SpanBuilder` is the engine; `rref` and `nullspace` are built on it.  The
+engine takes its arithmetic from a field object: `EXACT` is Q(w_m) on `Cyclo`
+scalars, and a `PrimeField` is F_p on ints in [0, p), reached from Q(w_M) by
+the ring map that sends w_M to an element of exact order M.
 """
 
 from __future__ import annotations
 
-from .scalars import Cyclo
+import operator
+
+from .errors import ParameterError
+from .scalars import Cyclo, prime_factors
 
 
 def vec_add_scaled(target: dict, src: dict, c: Cyclo) -> None:
@@ -21,6 +27,100 @@ def vec_add_scaled(target: dict, src: dict, c: Cyclo) -> None:
             target[col] = new
 
 
+class ExactField:
+    """Q(w_m) on `Cyclo` scalars: the field of every printed result."""
+
+    one = Cyclo.one()
+    axpy = staticmethod(vec_add_scaled)
+    neg = staticmethod(operator.neg)
+
+    @staticmethod
+    def inverse(a: Cyclo) -> Cyclo:
+        return a.inverse()
+
+    @staticmethod
+    def coerce(c: Cyclo) -> Cyclo:
+        return c
+
+
+EXACT = ExactField()
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; the bases 2, 3, 5, 7 suffice below 3.2e9."""
+    if n < 11:
+        return n in (2, 3, 5, 7)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class PrimeField:
+    """F_p for the largest prime p < 2^30 with p = 1 (mod M) that divides none
+    of `denominators`, so residues are one-digit ints.
+
+    F_p* is cyclic of order p - 1, so it has elements of exact order M; zeta is
+    the first one found, a root of Phi_M mod p.  A `Cyclo` of order dividing M
+    whose denominator is prime to p lies in Z_(p)[w_M], and w_M -> zeta is a
+    ring map from there onto F_p: `coerce` applies it."""
+
+    LIMIT = 1 << 30
+    one = 1
+
+    def __init__(self, M: int, denominators=()):
+        dens = set(denominators)
+        p = (self.LIMIT - 2) // M * M + 1
+        while not (_is_prime(p) and all(d % p for d in dens)):
+            p -= M
+            if p < 2:
+                raise ParameterError(f"no prime field for root order {M}")
+        cofactors = [M // q for q in prime_factors(M)]
+        g = 2
+        while True:
+            zeta = pow(g, (p - 1) // M, p)
+            if all(pow(zeta, c, p) != 1 for c in cofactors):
+                break
+            g += 1
+        self.p, self.M, self.zeta = p, M, zeta
+        self._powers = [pow(zeta, e, p) for e in range(M)]
+
+    def axpy(self, target: dict, src: dict, c: int) -> None:
+        """target += c * src mod p, dropping cancelled entries."""
+        p = self.p
+        get = target.get
+        for col, val in src.items():
+            new = (get(col, 0) + val * c) % p
+            if new:
+                target[col] = new
+            else:
+                target.pop(col, None)
+
+    def neg(self, a: int) -> int:
+        return -a % self.p
+
+    def inverse(self, a: int) -> int:
+        return pow(a, -1, self.p)
+
+    def coerce(self, c: Cyclo) -> int:
+        """The image of c: sum of num[i] * zeta^(i * M / order), over den."""
+        if self.M % c.order:
+            raise ParameterError(f"order {c.order} does not divide {self.M}")
+        p, step = self.p, self.M // c.order
+        total = sum(x * self._powers[i * step] for i, x in enumerate(c.num) if x)
+        return total * pow(c.den, -1, p) % p
+
+
 class SpanBuilder:
     """Incremental row space in echelon form: one row per pivot column, where
     the pivot is the row's smallest column and has coefficient 1.
@@ -29,9 +129,10 @@ class SpanBuilder:
     stored, but the new row keeps its entries at later pivot columns, so the
     rows are not in general reduced; `rref` returns the reduced form."""
 
-    def __init__(self, full_reduce: bool = True):
+    def __init__(self, full_reduce: bool = True, field=EXACT):
         self.rows: dict[int, dict] = {}  # pivot column -> row
         self.full_reduce = full_reduce
+        self.field = field
 
     @property
     def rank(self) -> int:
@@ -39,13 +140,14 @@ class SpanBuilder:
 
     def reduce(self, vec: dict) -> dict:
         """Residual of vec against the current span (vec is not modified)."""
+        axpy, neg = self.field.axpy, self.field.neg
         v = dict(vec)
         while v:
             piv = min(v)
             row = self.rows.get(piv)
             if row is None:
                 return v
-            vec_add_scaled(v, row, -v[piv])
+            axpy(v, row, neg(v[piv]))
         return v
 
     def add(self, vec: dict) -> bool:
@@ -53,13 +155,15 @@ class SpanBuilder:
         v = self.reduce(vec)
         if not v:
             return False
+        field = self.field
         piv = min(v)
-        inv = v[piv].inverse()
-        v = {c: val * inv for c, val in v.items()}
+        unit: dict = {}
+        field.axpy(unit, v, field.inverse(v[piv]))
+        v = unit
         if self.full_reduce:
             for row in self.rows.values():
                 if piv in row:
-                    vec_add_scaled(row, v, -row[piv])
+                    field.axpy(row, v, field.neg(row[piv]))
         self.rows[piv] = v
         return True
 
@@ -70,11 +174,11 @@ class SpanBuilder:
         return [self.rows[p] for p in sorted(self.rows)]
 
 
-def rref(rows: list[dict]) -> tuple[list[dict], list[int]]:
+def rref(rows: list[dict], field=EXACT) -> tuple[list[dict], list[int]]:
     """Reduced row echelon form of the span of sparse rows: (rows, pivot columns),
     pivots ascending.  Each row has a 1 at its pivot and nothing at any other
     pivot column, so the result depends only on the span."""
-    span = SpanBuilder(full_reduce=False)
+    span = SpanBuilder(full_reduce=False, field=field)
     for row in rows:
         span.add(row)
     pivots = sorted(span.rows)
@@ -83,7 +187,7 @@ def rref(rows: list[dict]) -> tuple[list[dict], list[int]]:
     for p in reversed(pivots):
         row = span.rows[p]
         for q in [c for c in row if c != p and c in span.rows]:
-            vec_add_scaled(row, span.rows[q], -row[q])
+            field.axpy(row, span.rows[q], field.neg(row[q]))
     return span.basis(), pivots
 
 

@@ -2,14 +2,15 @@
 
 A presentation is a list of generator degrees plus homogeneous relations in
 the free algebra on those generators.  Quotient dimensions are computed
-degree by degree, exactly: the degree-d piece of the free algebra splits by
-first letter as F_d = sum_x x * F_(d - deg x), and the two-sided ideal
-satisfies I_d = sum_x x * I_(d - deg x) + sum_rho rho * F_(d - deg rho), so
-the quotient Q_d is assembled from the lower quotients and the projections
-of rho * (lower classes).  This returns exactly dim F_d / I_d while only
-ever storing spaces of the quotient's (small) dimensions.  The DP runs on
-sparse rows end to end: class vectors, relation rows and projections are
-{index: Cyclo} dicts, reduced by `linalg.rref`.
+degree by degree: the degree-d piece of the free algebra splits by first
+letter as F_d = sum_x x * F_(d - deg x), and the two-sided ideal satisfies
+I_d = sum_x x * I_(d - deg x) + sum_rho rho * F_(d - deg rho), so the
+quotient Q_d is assembled from the lower quotients and the projections of
+rho * (lower classes).  This returns exactly dim F_d / I_d while only ever
+storing spaces of the quotient's (small) dimensions.  The DP runs on sparse
+rows end to end, reduced by `linalg.rref` over a field: Q(w_m) for
+`truncated_quotient_dims`, and F_p for the upper bound that
+`verify_presentation` pins against the exact rank of the generators' span.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from fractions import Fraction
 from .errors import ParameterError
 from .group_actions import GroupSpec
 from .hj_series import typeA_data
-from .invariants import GeneratorSet, generator_set, molien
-from .linalg import nullspace, rref, vec_add_scaled
-from .scalars import Cyclo, gen_binomial
+from .invariants import GeneratorSet, generator_set, molien, subalgebra_spans
+from .linalg import EXACT, PrimeField, nullspace, rref
+from .scalars import Cyclo, gen_binomial, lcm
 from .skew_algebra import AlgebraElt, AlgebraSpec, mul, to_text
 
 FreeWord = tuple[int, ...]
@@ -261,14 +262,17 @@ def eval_relations(spec: AlgebraSpec, assignment: list[AlgebraElt], pres: Presen
 
 
 class _QuotientDP:
-    """Degreewise model of (free algebra)/(two-sided ideal of the relations).
+    """Degreewise model of (free algebra)/(two-sided ideal of the relations)
+    over `field`, with the relation coefficients mapped into it.
 
     V_d = sum_x x (x) Q_(d - deg x) has one slot per (generator, lower class);
     pcols[d][s] is the class in Q_d of slot s.  Class vectors, relation rows
-    and pcols are sparse dicts {index: Cyclo}."""
+    and pcols are sparse dicts {index: scalar}."""
 
-    def __init__(self, pres: Presentation):
+    def __init__(self, pres: Presentation, field):
         self.pres = pres
+        self.field = field
+        self.relations = [[(field.coerce(c), w) for c, w in rel] for rel in pres.relations]
         self.dims = [1]
         self.offsets: list[dict[int, int]] = [{}]  # degree -> generator -> first slot in V_d
         self.pcols: list[list[dict] | None] = [None]  # degree -> V_d projection
@@ -278,9 +282,10 @@ class _QuotientDP:
         d_to = d_from + self.pres.gen_degrees[g]
         pcols = self.pcols[d_to]
         offset = self.offsets[d_to][g]
+        axpy = self.field.axpy
         out: dict = {}
         for t, c in vec.items():
-            vec_add_scaled(out, pcols[offset + t], c)
+            axpy(out, pcols[offset + t], c)
         return out
 
     def _word_class(self, word: FreeWord, d_start: int, start: dict) -> dict:
@@ -292,7 +297,8 @@ class _QuotientDP:
         return vec
 
     def extend_to(self, N: int) -> None:
-        one = Cyclo.one()
+        field = self.field
+        one, neg = field.one, field.neg
         while len(self.dims) <= N:
             d = len(self.dims)
             offsets = {}
@@ -303,7 +309,7 @@ class _QuotientDP:
                     vdim += self.dims[d - e]
             self.offsets.append(offsets)
             rel_rows: list[dict] = []
-            for rel in self.pres.relations:
+            for rel in self.relations:
                 r = self.pres.word_degree(rel[0][1])
                 if r > d:
                     continue
@@ -312,10 +318,10 @@ class _QuotientDP:
                     for c, w in rel:
                         tail_class = self._word_class(w[1:], d - r, {b: one})
                         base = offsets[w[0]]
-                        vec_add_scaled(row, {base + t: z for t, z in tail_class.items()}, c)
+                        field.axpy(row, {base + t: z for t, z in tail_class.items()}, c)
                     if row:
                         rel_rows.append(row)
-            red, pivots = rref(rel_rows) if rel_rows else ([], [])
+            red, pivots = rref(rel_rows, field) if rel_rows else ([], [])
             reduced = dict(zip(pivots, red))
             quot_index = {s: i for i, s in enumerate(s for s in range(vdim) if s not in reduced)}
             pcols: list[dict] = []
@@ -324,16 +330,28 @@ class _QuotientDP:
                     pcols.append({quot_index[s]: one})
                 else:
                     # a reduced row is 1 at its pivot and otherwise lives on free slots
-                    pcols.append({quot_index[s2]: -z for s2, z in reduced[s].items() if s2 != s})
+                    pcols.append({quot_index[s2]: neg(z) for s2, z in reduced[s].items() if s2 != s})
             self.dims.append(vdim - len(pivots))
             self.pcols.append(pcols)
 
 
-def truncated_quotient_dims(pres: Presentation, N: int) -> list[int]:
-    """dim of (free algebra modulo the relation ideal) in each degree 0..N."""
-    dp = _QuotientDP(pres)
+def truncated_quotient_dims(pres: Presentation, N: int, field=EXACT) -> list[int]:
+    """dim of (free algebra modulo the relation ideal) in each degree 0..N over
+    `field`: exact over the default Q(w_m), and an upper bound on the exact
+    dims over a `PrimeField` that the relation coefficients map into."""
+    dp = _QuotientDP(pres, field)
     dp.extend_to(N)
     return dp.dims[: N + 1]
+
+
+def _prime_field(pres: Presentation) -> PrimeField:
+    """The F_p that every relation coefficient maps into."""
+    M, dens = 1, set()
+    for rel in pres.relations:
+        for c, _ in rel:
+            M = lcm(M, c.order)
+            dens.add(c.den)
+    return PrimeField(M, dens)
 
 
 def verify_presentation(
@@ -343,13 +361,29 @@ def verify_presentation(
     N: int,
     assignment: list[AlgebraElt] | None = None,
 ) -> dict:
-    """Relations vanish under the generator assignment AND the quotient has the
-    Molien dimensions through N (the surjection-plus-Hilbert-series argument)."""
+    """Relations vanish under the generator assignment AND the quotient
+    F/(R) has the Molien dimensions through N.
+
+    The quotient dimensions Q_d are exact, and are found without the exact DP
+    when a two-sided bound pins them.  Reducing the relations mod p spans an
+    ideal of no larger dimension, so the F_p quotient dimension U_d is at least
+    Q_d.  When every relation vanishes, F_d/I_d maps onto the span of generator
+    products in A_d, whose exact rank L_d is then at most Q_d.  If L_d = U_d at
+    every degree through N, Q_d = U_d ("certified_mod_p"); otherwise the exact
+    DP runs ("exact").  Neither bound assumes that the generators generate or
+    that the Molien series is right."""
     if assignment is None:
         gens: GeneratorSet = generator_set(spec, G)
         assignment = gens.generators
     evaluation = eval_relations(spec, assignment, pres)
-    quotient = truncated_quotient_dims(pres, N)
+    method = "exact"
+    if evaluation["all_vanish"]:
+        quotient = truncated_quotient_dims(pres, N, _prime_field(pres))
+        lower = [span.rank for span in subalgebra_spans(spec, assignment, N)]
+        if lower == quotient:
+            method = "certified_mod_p"
+    if method == "exact":
+        quotient = truncated_quotient_dims(pres, N)
     target = molien(spec, G, N).integer_coeffs()
     mismatches = [d for d in range(N + 1) if quotient[d] != target[d]]
     return {
@@ -360,6 +394,7 @@ def verify_presentation(
         "quotient_dims": quotient,
         "invariant_dims": target,
         "N": N,
+        "quotient_method": method,
     }
 
 

@@ -36,21 +36,28 @@ def lcm(a: int, b: int) -> int:
     return a // math.gcd(a, b) * b
 
 
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n >= 1, ascending."""
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     if m < 1:
         raise ParameterError(f"euler_phi needs m >= 1, got {m}")
     result = m
-    n = m
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
+    for q in prime_factors(m):
+        result -= result // q
     return result
 
 
@@ -69,69 +76,42 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
-
-    def exact_div(self, den: "IntPolynomial") -> "IntPolynomial":
-        """Exact quotient self/den; raises if the division leaves a remainder."""
-        if den.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        q = [0] * max(len(rem) - len(den.coeffs) + 1, 0)
-        dlead = den.coeffs[-1]
-        while len(rem) >= len(den.coeffs) and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) < len(den.coeffs):
-                break
-            shift = len(rem) - len(den.coeffs)
-            c, r = divmod(rem[-1], dlead)
-            if r:
-                raise ParameterError("non-exact polynomial division")
-            q[shift] = c
-            for j, b in enumerate(den.coeffs):
-                rem[shift + j] -= c * b
-        if any(rem):
-            raise ParameterError("non-exact polynomial division")
-        return IntPolynomial(q)
-
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)})"
 
 
-def _divisors(m: int) -> list[int]:
-    ds = [d for d in range(1, m) if m % d == 0]
-    return ds
+def _mobius(n: int) -> int:
+    primes = prime_factors(n)
+    return 0 if any(n % (q * q) == 0 for q in primes) else (-1) ** len(primes)
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> IntPolynomial:
-    """The m-th cyclotomic polynomial, monic of degree phi(m)."""
+    """The m-th cyclotomic polynomial, monic of degree phi(m): the Moebius
+    product of (x^d - 1)^mu(m/d) over d | m.  The factors with mu = 1 multiply
+    in as binomials, then those with mu = -1 divide out exactly by synthetic
+    division."""
     if m < 1:
         raise ParameterError(f"cyclotomic_polynomial needs m >= 1, got {m}")
-    if m == 1:
-        return IntPolynomial((-1, 1))
-    xm1 = IntPolynomial([-1] + [0] * (m - 1) + [1])
-    den = IntPolynomial((1,))
-    for d in _divisors(m):
-        den = den * cyclotomic_polynomial(d)
-    return xm1.exact_div(den)
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    poly = [1]
+    for d in divisors:
+        if _mobius(m // d) == 1:  # poly * (x^d - 1)
+            poly = [(poly[i - d] if i >= d else 0) - (poly[i] if i < len(poly) else 0)
+                    for i in range(len(poly) + d)]
+    for d in divisors:
+        if _mobius(m // d) == -1:  # poly / (x^d - 1): poly[i] = q[i - d] - q[i]
+            q = [0] * (len(poly) - d)
+            for i in range(len(q)):
+                q[i] = (q[i - d] if i >= d else 0) - poly[i]
+            poly = q
+    return IntPolynomial(poly)
 
 
 @lru_cache(maxsize=None)

@@ -104,6 +104,7 @@ def test_criterion_3_presentation_fixtures():
             JORDAN, GroupSpec.cyclic(n, 1, JORDAN), jordan_presentation(n), 6 * n
         )
         assert rep["ok"], (n, rep["first_dimension_mismatch"])
+        assert rep["quotient_method"] == "certified_mod_p", n
     for n, a, m in ((5, 2, 5), (7, 3, 7), (4, 1, 3)):
         q = Cyclo.root(m)
         spec = AlgebraSpec.quantum(q)
@@ -111,8 +112,10 @@ def test_criterion_3_presentation_fixtures():
             spec, GroupSpec.cyclic(n, a, spec), quantum_presentation(n, a, q), 8 * n
         )
         assert rep["ok"], (n, a, rep["first_dimension_mismatch"])
+        assert rep["quotient_method"] == "certified_mod_p", (n, a)
     rep = verify_presentation(QM1, GroupSpec.gnk(7, 3), gnk73_presentation(), 60)
     assert rep["ok"], rep["first_dimension_mismatch"]
+    assert rep["quotient_method"] == "certified_mod_p"
     _report("3 (presentations: Jordan n=2,3,4; quantum (5,2),(7,3),(4,1); G_{7,3} at N=60)")
 
 

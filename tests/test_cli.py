@@ -398,13 +398,13 @@ def test_negative_size_flags_rejected(capsys):
         assert len(err.strip().splitlines()) == 1
 
 
-def _verify_stdin(capsys, text, *extra):
+def _verify_stdin(capsys, text, *extra, n="2"):
     stdin_backup = sys.stdin
     try:
         sys.stdin = io.StringIO(text)
         return run_cli(
             capsys,
-            "verify-pres", "--stdin", "--algebra", "jordan", "--group", "cyclic", "2", "1",
+            "verify-pres", "--stdin", "--algebra", "jordan", "--group", "cyclic", n, "1",
             *extra,
         )
     finally:
@@ -435,3 +435,31 @@ def test_verify_pres_stdin_empty_relations(capsys):
         assert out == ""
         assert err.startswith("error: ") and "'relations'" in err
         assert len(err.strip().splitlines()) == 1
+
+
+def _wrong_coefficient(data):
+    data["relations"][0][0]["coeff"]["coeffs"] = ["2"]
+
+
+def _drop_last_relation(data):
+    del data["relations"][-1]
+
+
+# stdout digests recorded with the exact quotient DP as the only path; these
+# presentations fail the mod-p certificate and must print the exact dims
+@pytest.mark.parametrize(
+    "change,digest",
+    [
+        (_wrong_coefficient, "e56e0da19f85c48c7151145887ad83c534abbf5e7f3a5162ab9cb2629cd3ff87"),
+        (_drop_last_relation, "fe8a04bc72ed29b2b8ac7605bbd60d8b6522f3b275c87ab6bdbc6879448180d4"),
+    ],
+    ids=["wrong_coefficient", "relation_dropped"],
+)
+def test_verify_pres_stdin_fallback_stdout_unchanged(capsys, change, digest):
+    _, pres, _ = run_cli(capsys, "present", "--family", "jordan", "--n", "3")
+    data = json.loads(pres)["presentation"]
+    change(data)
+    code, out, _ = _verify_stdin(capsys, json.dumps(data), "--N", "18", n="3")
+    assert code == 0
+    assert json.loads(out)["ok"] is False
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewinv.linalg import nullspace, rref, vec_add_scaled
-from skewinv.scalars import Cyclo
+from skewinv.linalg import PrimeField, SpanBuilder, _is_prime, nullspace, rref, vec_add_scaled
+from skewinv.scalars import Cyclo, euler_phi
 
 W3 = Cyclo.root(3)
 ZERO = Cyclo.zero()
@@ -119,3 +121,74 @@ def test_nullspace_vectors_are_annihilated():
                 for a, x in zip(row, vec):
                     total = total + a * x
                 assert total.is_zero()
+
+
+def _is_prime_by_trial_division(n):
+    return n > 1 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(3000) if _is_prime(n)] == [
+        n for n in range(3000) if _is_prime_by_trial_division(n)
+    ]
+    # strong pseudoprimes to the bases 2; 2, 3; and 2, 3, 5
+    for n in (2047, 1373653, 25326001):
+        assert not _is_prime(n) and not _is_prime_by_trial_division(n)
+    assert _is_prime(2 ** 30 - 35) and not _is_prime(2 ** 30 - 1)
+
+
+def test_prime_field_for_every_order_up_to_60():
+    for M in range(1, 61):
+        field = PrimeField(M)
+        p, zeta = field.p, field.zeta
+        assert p < 2 ** 30 and (p - 1) % M == 0 and _is_prime_by_trial_division(p)
+        assert pow(zeta, M, p) == 1
+        assert all(pow(zeta, e, p) != 1 for e in range(1, M))
+        # a denominator that p divides moves the choice to another prime
+        other = PrimeField(M, [3 * p, 5])
+        assert other.p != p and (other.p - 1) % M == 0 and (3 * p) % other.p and 5 % other.p
+        assert _is_prime_by_trial_division(other.p)
+
+
+_ORDERS_OF_60 = [1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60]
+_SMALL_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def _elements_of_order_dividing_60(draw):
+    m = draw(st.sampled_from(_ORDERS_OF_60))
+    return Cyclo(m, draw(st.lists(_SMALL_RATIONALS, min_size=euler_phi(m), max_size=euler_phi(m))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_elements_of_order_dividing_60(), _elements_of_order_dividing_60())
+def test_reduction_mod_p_is_a_ring_map(a, b):
+    field = PrimeField(60, [a.den, b.den])
+    p, f = field.p, field.coerce
+    assert f(a + b) == (f(a) + f(b)) % p
+    assert f(a * b) == f(a) * f(b) % p
+    assert f(-a) == field.neg(f(a))
+    assert f(Cyclo.root(60, 7)) == pow(field.zeta, 7, p)
+    assert f(Cyclo.one()) == field.one
+    # an element outside the kernel whose inverse is p-integral maps to the inverse
+    if f(a) and a.inverse().den % p:
+        assert f(a.inverse()) == field.inverse(f(a))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_rows_of_known_rank())
+def test_rref_mod_p_reduces_the_images(case):
+    rows, rank = case
+    field = PrimeField(3)
+    images = [{c: field.coerce(x) for c, x in row.items() if field.coerce(x)} for row in rows]
+    red, pivots = rref(images, field)
+    assert len(pivots) <= rank
+    for row, piv in zip(red, pivots):
+        assert min(row) == piv and row[piv] == 1
+        assert not any(q in row for q in pivots if q != piv)
+        assert all(0 < x < field.p for x in row.values())
+    span = SpanBuilder(field=field)
+    for row in red:
+        span.add(row)
+    assert all(span.contains(row) for row in images)
+    assert rref(list(reversed(images)), field) == (red, pivots)

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from skewinv.errors import ParameterError
 from skewinv.group_actions import GroupSpec
-from skewinv.invariants import generator_set
+from skewinv.invariants import generator_set, molien
 from skewinv.linalg import SpanBuilder
 from skewinv.presentations import (
     FreeWord,
     Presentation,
+    _prime_field,
     discover_relations,
     eval_relations,
     gnk73_presentation,
@@ -284,6 +285,13 @@ def test_quotient_dims_match_bruteforce_random(pres, N):
     assert truncated_quotient_dims(pres, N) == quotient_dims_bruteforce(pres, N)
 
 
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_small_presentations(), st.integers(3, 6))
+def test_mod_p_quotient_dims_bound_the_exact_ones(pres, N):
+    upper = truncated_quotient_dims(pres, N, _prime_field(pres))
+    assert all(u >= q for u, q in zip(upper, truncated_quotient_dims(pres, N)))
+
+
 def test_quotient_dims_monotone_under_extra_relation():
     pres = jordan_presentation(3)
     base = truncated_quotient_dims(pres, 15)
@@ -382,3 +390,69 @@ def test_verify_presentation_quantum_7_2():
     G = GroupSpec.cyclic(7, 2, spec)
     report = verify_presentation(spec, G, quantum_presentation(7, 2, q), 40)
     assert report["ok"]
+
+
+def _exact_report(spec, G, pres, N):
+    """What verify_presentation reports from the exact quotient DP."""
+    gens = generator_set(spec, G).generators
+    evaluation = eval_relations(spec, gens, pres)
+    quotient = truncated_quotient_dims(pres, N)
+    target = molien(spec, G, N).integer_coeffs()
+    mismatches = [d for d in range(N + 1) if quotient[d] != target[d]]
+    return {
+        "ok": evaluation["all_vanish"] and not mismatches,
+        "relations_vanish": evaluation["all_vanish"],
+        "evaluation": evaluation,
+        "first_dimension_mismatch": mismatches[0] if mismatches else None,
+        "quotient_dims": quotient,
+        "invariant_dims": target,
+        "N": N,
+        "quotient_method": "exact",
+    }
+
+
+def _jordan3_variant(change):
+    pres = jordan_presentation(3)
+    rels = [list(rel) for rel in pres.relations]
+    change(rels)
+    return Presentation(pres.gen_degrees, rels, pres.gen_names)
+
+
+def _scale_last_by_prime(rels):
+    p = _prime_field(jordan_presentation(3)).p
+    rels[-1] = [(c * p, w) for c, w in rels[-1]]
+
+
+def _wrong_coefficient(rels):
+    c, w = rels[0][0]
+    rels[0][0] = (c + 1, w)
+
+
+def _drop_last(rels):
+    del rels[-1]
+
+
+@pytest.mark.parametrize(
+    "change", [_scale_last_by_prime, _wrong_coefficient, _drop_last],
+    ids=["vanishes_mod_p", "relations_do_not_vanish", "relation_dropped"],
+)
+def test_verify_presentation_falls_back_to_exact(change):
+    G = GroupSpec.cyclic(3, 1, JORDAN)
+    pres = _jordan3_variant(change)
+    report = verify_presentation(JORDAN, G, pres, 18)
+    assert report == _exact_report(JORDAN, G, pres, 18)
+
+
+def test_fallback_cases_break_the_bounds_they_target():
+    # a relation times p is the same ideal over Q but vanishes mod p, so U_d > Q_d
+    scaled = _jordan3_variant(_scale_last_by_prime)
+    field = _prime_field(scaled)
+    assert field.p == _prime_field(jordan_presentation(3)).p
+    assert field.coerce(scaled.relations[-1][0][0]) == 0
+    assert truncated_quotient_dims(scaled, 18) == truncated_quotient_dims(jordan_presentation(3), 18)
+    assert truncated_quotient_dims(scaled, 18, field) != truncated_quotient_dims(scaled, 18)
+    # a dropped relation leaves Q_d above the Molien dimension, which bounds L_d
+    G = GroupSpec.cyclic(3, 1, JORDAN)
+    dropped = _jordan3_variant(_drop_last)
+    target = molien(JORDAN, G, 18).integer_coeffs()
+    assert any(q > t for q, t in zip(truncated_quotient_dims(dropped, 18), target))

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -34,6 +35,34 @@ def test_cyclotomic_m6():
 @pytest.mark.parametrize("m", range(1, 40))
 def test_cyclotomic_degree_is_phi(m):
     assert cyclotomic_polynomial(m).degree == euler_phi(m)
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_cyclotomic(m):
+    """Oracle: x^m - 1 divided by the dense product of Phi_d over d | m, d < m."""
+    den = [1]
+    for d in range(1, m):
+        if m % d == 0:
+            phi_d = _dense_cyclotomic(d)
+            prod = [0] * (len(den) + len(phi_d) - 1)
+            for i, x in enumerate(den):
+                for j, y in enumerate(phi_d):
+                    prod[i + j] += x * y
+            den = prod
+    rem = [-1] + [0] * (m - 1) + [1]
+    quot = [0] * (m - len(den) + 2)
+    for shift in range(len(quot) - 1, -1, -1):
+        c = rem[shift + len(den) - 1]  # den is monic
+        quot[shift] = c
+        for j, y in enumerate(den):
+            rem[shift + j] -= c * y
+    assert not any(rem)
+    return tuple(quot)
+
+
+def test_cyclotomic_matches_dense_division_oracle():
+    for m in list(range(1, 421)) + [1155, 1365, 1440]:
+        assert cyclotomic_polynomial(m).coeffs == _dense_cyclotomic(m), m
 
 
 def test_omega2_squares_to_one():
