@@ -13,7 +13,10 @@ Two exact paths compute the same dimensions:
    t antidiagonal) each spanning vector x gbar y has one or two nonzero
    coordinates, so the rank is a node count or a union-find with root-of-unity
    edge ratios (`ideal_dims` keeps the generic span for G_{n,k} with n even).
-The kernel is cross-checked against the generic span in the tests.
+The kernel is cross-checked against the generic span in the tests.  The
+smash context indexes and multiplies elements by the group's exponent keys
+and reads its character lattice; it builds the matrices only for the
+action in `smash_mul`.
 
 Each path yields one exact rank per degree, and `ideal_dims` stops reading at
 the first full degree s, where I_s = (A # G)_s.  That is a proof, not a
@@ -29,8 +32,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import ParameterError
-from .group_actions import Gnk, GradedAut, GroupSpec, enumerate_group, mono_mul
-from .group_actions import gnk_keys
+from .group_actions import Gnk, GroupSpec, enumerate_group, gnk_keys, mono_mul
 from .linalg import SpanBuilder
 from .scalars import Cyclo
 from .skew_algebra import AlgebraElt, AlgebraSpec, apply_aut, mul
@@ -48,32 +50,14 @@ class SmashContext:
     def __init__(self, G: GroupSpec):
         self.G = G
         self.spec = G.ambient
-        self.elements = enumerate_group(G)
+        self.elements = enumerate_group(G)  # the matrices that smash_mul applies
         self.order = len(self.elements)
-        m = G.root_order
-        self.key_order = m
+        m = self.key_order = G.root_order
         # every element is monomial: index and multiply by exponent keys
-        keys = [e.mono_key(m) for e in self.elements]
+        keys = G.keys
         self.index = {key: i for i, key in enumerate(keys)}
-        self.identity = self.index[GradedAut.identity_elt().mono_key(m)]
+        self.identity = self.index[(True, 0, 0)]
         self.mult = [[self.index[mono_mul(a, b, m)] for b in keys] for a in keys]
-        self.char_lattice = _char_lattice(m, [key[1:] for key in keys if key[0]])
-
-
-def _char_lattice(m: int, weights: list[tuple[int, int]]) -> tuple[int, int, int]:
-    """(a, b, c) for the diagonal subgroup D with exponent pairs `weights`.
-
-    diag(w^e1, w^e2) acts on u^p v^r by w^(e1 p + e2 r).  The (p, r) on which
-    D acts trivially form a lattice with basis (a, b), (0, c) and index |D|,
-    so the character of u^p v^r has number (p mod a) c + (r - (p div a) b) mod c.
-    """
-
-    def trivial(p: int, r: int) -> bool:
-        return all((e1 * p + e2 * r) % m == 0 for e1, e2 in weights)
-
-    c = next(r for r in range(1, m + 1) if trivial(0, r))
-    a, b = next((p, r) for p in range(1, m + 1) for r in range(c) if trivial(p, r))
-    return a, b, c
 
 
 def smash_context(G: GroupSpec) -> SmashContext:
@@ -285,7 +269,7 @@ def _ideal_dims_characters(spec: AlgebraSpec, ctx: SmashContext, N: int):
     rank is read from a _RatioDSU over these edges.
     """
     m = ctx.key_order
-    a, b, c = ctx.char_lattice
+    a, b, c = ctx.G.char_lattice
     anti = next((key for key in ctx.index if not key[0]), None)
     if anti is None:
         # chars[p]: bit set of the characters of the divisors of u^p v^(d-p)
@@ -388,7 +372,7 @@ def _ideal_rows_generic(spec: AlgebraSpec, ctx: SmashContext, seed: SmashElt, e:
     the generators generate kG as an algebra).
     """
     G = ctx.G
-    gen_indices = [ctx.index[g.mono_key(ctx.key_order)] for g in G.generators()]
+    gen_indices = [ctx.index[key] for key in G.generator_keys()]
     # basis of the span of left group translates of the seed
     left_span = SpanBuilder(full_reduce=False)
     left_reps: list[SmashElt] = []

@@ -7,16 +7,20 @@ generated by diag(w^(2k), w^(-2k)) and antidiag(w^n, w^n) for w a primitive
 is provided for the correspondence checks.
 
 Every group a `GroupSpec` builds is made of monomial matrices with entries
-w^e, so its elements also carry exponent keys (is_diagonal, e1, e2) over
-w_m.  Exponent arithmetic has one home here: `mono_mul` is the product rule
-and `trace_counts` the degree-d trace as an exponent histogram.  The matrix
-entries remain the general path for user matrices and the tests' oracle.
+w^e, so it is enumerated once, as the exponent keys (is_diagonal, e1, e2)
+over w_m in `GroupSpec.keys`.  Exponent arithmetic has one home here:
+`mono_mul` is the product rule, `trace_counts` the degree-d trace as an
+exponent histogram, `char_lattice` the characters of the diagonal subgroup,
+and one rule each decides quasi-reflections and hdet.  Order, smallness,
+hdet triviality, Molien series and fixed spaces read the keys;
+`enumerate_group` builds matrices only where one is applied to the algebra.
+The matrix entries remain the general path for user matrices and the tests'
+oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import (
@@ -64,8 +68,8 @@ class GradedAut(Mat2):
     fixed root of unity, `mono` holds (order, e1, e2) with entries w^e1, w^e2
     (diagonal: positions (a, d); antidiagonal: (b, c)).  Every element of a
     `GroupSpec` carries it, and products of two such elements keep it (at the
-    lcm order, by `mono_mul`).  It drives the exponent paths for traces, Molien
-    series, fixed spaces and smash products; it never changes semantics.
+    lcm order, by `mono_mul`).  It sends the trace, quasi-reflection test and
+    hdet of a single element to the exponent rules; it never changes semantics.
     Matrices built without `mono` take the general Mat2 paths.
     """
 
@@ -162,13 +166,20 @@ class DihedralMQ:
 
 
 class GroupSpec:
-    """A group family member together with the ambient algebra."""
+    """A group family member together with the ambient algebra.
 
-    __slots__ = ("variant", "ambient")
+    The variant checks accept only planes on which the family's generators
+    are automorphisms (the tests check every generator).  `keys` lists the
+    elements once, as exponent keys; the group-level computations read it,
+    and `enumerate_group` turns it into matrices where a matrix is applied.
+    """
+
+    __slots__ = ("variant", "ambient", "_keys", "_lattice")
 
     def __init__(self, variant, ambient: AlgebraSpec):
         self.variant = variant
         self.ambient = ambient
+        self._keys = self._lattice = None
         if isinstance(variant, Gnk):
             if not (ambient.is_quantum and ambient.q == -1):
                 raise ParameterError("G_{n,k} acts on the (-1)-quantum plane")
@@ -182,8 +193,6 @@ class GroupSpec:
                 raise ParameterError("D_{m,q} is used on the commutative plane here")
         else:
             raise ParameterError(f"unknown group variant {variant!r}")
-        for g in self.generators():
-            validate_automorphism(ambient, g)
 
     # -- conveniences ---------------------------------------------------
 
@@ -208,21 +217,58 @@ class GroupSpec:
             return 2 * v.n * v.k
         return 4 * v.q * (v.m - v.q)
 
-    def generators(self) -> list[GradedAut]:
+    def generator_keys(self) -> list[MonoKey]:
+        """Keys over w_root_order of the family's generators."""
         v = self.variant
-        if isinstance(v, CyclicDiag):
-            return [GradedAut.diag_power(v.n, 1, v.a)]
-        if isinstance(v, Gnk):
-            m = self.root_order
-            return [
-                GradedAut.diag_power(m, 2 * v.k, -2 * v.k),
-                GradedAut.antidiag_power(m, v.n, v.n),
-            ]
         m = self.root_order
-        return [
-            GradedAut.diag_power(m, 2 * (v.m - v.q), -2 * (v.m - v.q)),
-            GradedAut.antidiag_power(m, v.q, v.q),
-        ]
+        if isinstance(v, CyclicDiag):
+            return [(True, 1 % m, v.a)]
+        s, t = (2 * v.k, v.n) if isinstance(v, Gnk) else (2 * (v.m - v.q), v.q)
+        return [(True, s % m, -s % m), (False, t, t)]
+
+    def generators(self) -> list[GradedAut]:
+        return [GradedAut.from_key(self.root_order, key) for key in self.generator_keys()]
+
+    @property
+    def keys(self) -> tuple[MonoKey, ...]:
+        """Every element once, as a key over w_root_order, in a fixed order:
+        1/n(1,a) by powers of its generator, G_{n,k} as `gnk_keys` lists it
+        (the first of each repeated key kept), D_{m,q} sorted (antidiagonal
+        first).  Built on first use."""
+        if self._keys is None:
+            self._keys = tuple(self._build_keys())
+        return self._keys
+
+    def _build_keys(self) -> list[MonoKey]:
+        v = self.variant
+        m = self.root_order
+        if isinstance(v, CyclicDiag):
+            return [(True, i, v.a * i % m) for i in range(m)]
+        if isinstance(v, Gnk):
+            # dict.fromkeys keeps the first of each repeated key (degenerate pairs)
+            return list(dict.fromkeys(gnk_keys(v.n, v.k, True) + gnk_keys(v.n, v.k, False)))
+        # dihedral: closure of the generators' keys
+        gens = self.generator_keys()
+        frontier = [(True, 0, 0)]
+        seen = {frontier[0]}
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for gkey in gens:
+                    y = mono_mul(gkey, x, m)
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        return sorted(seen)
+
+    @property
+    def char_lattice(self) -> tuple[int, int, int]:
+        """`_char_lattice` of the diagonal subgroup, computed on first use."""
+        if self._lattice is None:
+            weights = [key[1:] for key in self.keys if key[0]]
+            self._lattice = _char_lattice(self.root_order, weights)
+        return self._lattice
 
     def describe(self) -> str:
         v = self.variant
@@ -236,35 +282,32 @@ class GroupSpec:
         return f"GroupSpec({self.describe()} on {self.ambient.describe()})"
 
 
+def _char_lattice(m: int, weights: list[tuple[int, int]]) -> tuple[int, int, int]:
+    """(a, b, c) for the diagonal subgroup D with exponent pairs `weights`.
+
+    diag(w^e1, w^e2) acts on u^p v^r by w^(e1 p + e2 r).  The (p, r) on which
+    D acts trivially form a lattice with basis (a, b), (0, c) and index |D|,
+    so the character of u^p v^r has number (p mod a) c + (r - (p div a) b) mod c,
+    which is 0 exactly when D fixes u^p v^r.
+    """
+
+    def trivial(p: int, r: int) -> bool:
+        return all((e1 * p + e2 * r) % m == 0 for e1, e2 in weights)
+
+    c = next(r for r in range(1, m + 1) if trivial(0, r))
+    a, b = next((p, r) for p in range(1, m + 1) for r in range(c) if trivial(p, r))
+    return a, b, c
+
+
 def enumerate_group(G: GroupSpec) -> list[GradedAut]:
-    """Duplicate-free element list (deduplication matters for degenerate G_{n,k})."""
-    v = G.variant
+    """The elements as matrices, in the order of `G.keys`."""
     m = G.root_order
-    if isinstance(v, CyclicDiag):
-        return [GradedAut.diag_power(v.n, i, (v.a * i) % v.n) for i in range(v.n)]
-    if isinstance(v, Gnk):
-        keys = gnk_keys(v.n, v.k, True) + gnk_keys(v.n, v.k, False)
-        # dict.fromkeys keeps the first of each repeated key (degenerate pairs)
-        return [GradedAut.from_key(m, key) for key in dict.fromkeys(keys)]
-    # dihedral: closure of the generators' keys; sorted, antidiagonal ones first
-    gens = [g.mono_key(m) for g in G.generators()]
-    frontier = [(True, 0, 0)]
-    seen = {frontier[0]}
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gkey in gens:
-                y = mono_mul(gkey, x, m)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return [GradedAut.from_key(m, key) for key in sorted(seen)]
+    return [GradedAut.from_key(m, key) for key in G.keys]
 
 
 def gnk_is_degenerate(n: int, k: int) -> bool:
     """True when the (i, j)-indexed element list of G_{n,k} contains duplicates."""
-    return len(enumerate_group(GroupSpec.gnk(n, k))) < 2 * n * k
+    return len(GroupSpec.gnk(n, k).keys) < 2 * n * k
 
 
 # ---------------------------------------------------------------------------
@@ -296,39 +339,18 @@ class TruncatedSeries:
 
     __hash__ = None
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def mul_poly(self, poly: list) -> "TruncatedSeries":
-        """Multiply by a polynomial, truncating at the same order."""
-        n = len(self.coeffs)
-        out = [Cyclo.zero() for _ in range(n)]
-        for e, p in enumerate(poly):
-            pc = p if isinstance(p, Cyclo) else Cyclo.from_rational(p)
-            if pc.is_zero():
-                continue
-            for d in range(n - e):
-                out[d + e] = out[d + e] + self.coeffs[d] * pc
-        return TruncatedSeries(out)
-
-    def rational_coeffs(self) -> list[Fraction]:
+    def integer_coeffs(self) -> list[int]:
         out = []
         for d, c in enumerate(self.coeffs):
             if not c.is_rational():
                 raise InternalInconsistencyError(
                     f"series coefficient at degree {d} is not rational: {c}"
                 )
-            out.append(c.rational_value())
-        return out
-
-    def integer_coeffs(self) -> list[int]:
-        out = []
-        for d, c in enumerate(self.rational_coeffs()):
-            if c.denominator != 1:
+            if c.den != 1:
                 raise InternalInconsistencyError(
                     f"series coefficient at degree {d} is not an integer: {c}"
                 )
-            out.append(c.numerator)
+            out.append(c.num[0])
         return out
 
     def __repr__(self) -> str:
@@ -493,17 +515,39 @@ def _check_finite_order(spec: AlgebraSpec, g: GradedAut) -> None:
         raise InfiniteOrderError("matrix has infinite order")
 
 
+def _quasi_reflection_rule(spec: AlgebraSpec, m: int, key: MonoKey) -> bool:
+    """Quasi-reflection test for the monomial element with this key over w_m.
+
+    A diagonal element is one when exactly one entry is 1.  An antidiagonal
+    one acts only on q = +-1, and is one when bc = -1 (q = -1) or bc = 1
+    (q = 1).  On the Jordan plane a group holds only scalars, never one."""
+    diagonal, e1, e2 = key
+    if diagonal:
+        return (e1 % m == 0) != (e2 % m == 0)
+    if spec.q == -1:
+        return m % 2 == 0 and (e1 + e2) % m == m // 2
+    return (e1 + e2) % m == 0
+
+
+def _hdet_rule(spec: AlgebraSpec, m: int, key: MonoKey) -> tuple[int, int]:
+    """(s, e) with hdet = s * w_m^e for the monomial element with this key:
+    ad for a diagonal element, bc for an antidiagonal one on q = -1 and
+    det = -bc on q = 1."""
+    diagonal, e1, e2 = key
+    return (1 if diagonal or spec.q == -1 else -1), (e1 + e2) % m
+
+
+def _key_rules_apply(spec: AlgebraSpec, g: GradedAut) -> bool:
+    """The key rules decide g: a monomial automorphism of a quantum plane."""
+    return g.mono is not None and spec.is_quantum and (
+        g.shape == "diagonal" or spec.q == -1 or spec.is_commutative
+    )
+
+
 def is_quasi_reflection(spec: AlgebraSpec, g: GradedAut) -> bool:
     """Closed-form rule, cross-checked in the tests against a trace-series oracle."""
-    if g.mono is not None and spec.is_quantum:
-        # monomial matrices with root-of-unity entries: pure exponent arithmetic
-        m, e1, e2 = g.mono
-        if g.shape == "diagonal":
-            return (e1 % m == 0) != (e2 % m == 0)
-        if spec.q == -1:
-            return m % 2 == 0 and (e1 + e2) % m == m // 2
-        if spec.is_commutative:
-            return (e1 + e2) % m == 0
+    if _key_rules_apply(spec, g):
+        return _quasi_reflection_rule(spec, g.mono[0], g.mono_key(g.mono[0]))
     validate_automorphism(spec, g)
     _check_finite_order(spec, g)
     if spec.kind == "jordan":
@@ -522,14 +566,10 @@ def is_quasi_reflection(spec: AlgebraSpec, g: GradedAut) -> bool:
 
 def hdet(spec: AlgebraSpec, g: GradedAut) -> Cyclo:
     """Homological determinant: the scalar by which g acts on the relation line."""
-    if g.mono is not None and spec.is_quantum:
-        m, e1, e2 = g.mono
-        if g.shape == "diagonal":
-            return Cyclo.root(m, e1 + e2)  # a * d
-        if spec.q == -1:
-            return Cyclo.root(m, e1 + e2)  # b * c
-        if spec.is_commutative:
-            return -Cyclo.root(m, e1 + e2)  # det = -b * c
+    if _key_rules_apply(spec, g):
+        m = g.mono[0]
+        sign, e = _hdet_rule(spec, m, g.mono_key(m))
+        return sign * Cyclo.root(m, e)
     lam = relation_image_scalar(spec, g)
     if lam is None:
         raise InvalidAutomorphismError(
@@ -554,9 +594,9 @@ def is_small_closed_form(G: GroupSpec) -> bool:
 
 
 def is_small_brute(G: GroupSpec) -> bool:
-    return not any(
-        is_quasi_reflection(G.ambient, g) for g in enumerate_group(G)
-    )
+    """No element is a quasi-reflection (the rule applied to every key)."""
+    m = G.root_order
+    return not any(_quasi_reflection_rule(G.ambient, m, key) for key in G.keys)
 
 
 def group_report(G: GroupSpec) -> dict:
@@ -566,24 +606,24 @@ def group_report(G: GroupSpec) -> dict:
         raise ParameterError(
             "classification assumes a noncommutative plane (q = 1 is excluded)"
         )
-    elems = enumerate_group(G)
-    small_brute = not any(is_quasi_reflection(G.ambient, g) for g in elems)
+    small_brute = is_small_brute(G)
     small_closed = is_small_closed_form(G)
     if small_brute != small_closed:
         raise InternalInconsistencyError(
             f"brute smallness scan ({small_brute}) disagrees with the closed form "
             f"({small_closed}) for {G.describe()}"
         )
-    hdet_trivial = all(hdet(G.ambient, g).is_one() for g in elems)
+    m = G.root_order
+    # q = 1 is rejected above, so every hdet is a root power w_m^e
+    hdet_trivial = all(_hdet_rule(G.ambient, m, key) == (1, 0) for key in G.keys)
     v = G.variant
     commutative_flag = (v.n % 2 == 0 or v.k % 2 == 0) if isinstance(v, Gnk) else None
-    report = {
+    return {
         "group": G.describe(),
         "algebra": G.ambient.describe(),
-        "order": len(elems),
+        "order": len(G.keys),
         "is_small": small_brute,
         "hdet_trivial": hdet_trivial,
         "gorenstein_flag": hdet_trivial,
         "commutative_invariants_flag": commutative_flag,
     }
-    return report

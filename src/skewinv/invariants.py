@@ -1,8 +1,9 @@
 """Invariant rings: fixed spaces, Molien series, generators, verification.
 
-Fixed spaces are computed exactly: diagonal elements filter the monomial
-basis by character, and a single antidiagonal representative (when present)
-pins down the +-pairings between u^i v^j and u^j v^i.  Generation is
+Fixed spaces, Molien series and generator walks read the group's exponent
+keys, never its matrices: the diagonal subgroup's character lattice filters
+the monomial basis, and the first antidiagonal key (when present) pins down
+the pairings between u^i v^j and u^j v^i.  Generation is
 verified degree by degree: the span of products of generators must have the
 Molien dimension in every degree up to the bound.
 """
@@ -38,62 +39,48 @@ from .skew_algebra import (
 )
 
 
-def _elements_for(spec: AlgebraSpec, G: GroupSpec):
-    elems = enumerate_group(G)
+def _check_acts(spec: AlgebraSpec, G: GroupSpec) -> None:
+    """On a plane other than G's own, check that each element acts on it."""
     if spec != G.ambient:
-        for g in elems:
+        for g in enumerate_group(G):
             validate_automorphism(spec, g)
-    return elems
 
 
 def fixed_space(spec: AlgebraSpec, G: GroupSpec, d: int) -> list[AlgebraElt]:
-    """Canonical basis of the degree-d fixed subspace (ascending (i,j)-lex pivots)."""
+    """Canonical basis of the degree-d fixed subspace (ascending (i,j)-lex pivots).
+
+    u^i v^j is fixed by the diagonal subgroup D when its character number
+    is 0.  An antidiagonal t sends it to w^e u^j v^i, and every other
+    antidiagonal element is t delta with delta in D, so on a D-fixed
+    monomial all of them give the same ratio; t^2 lies in D, so t maps
+    u^j v^i back by w^-e, and u^j v^i is D-fixed too (t normalizes D).
+    """
     if d < 0:
         raise ParameterError("degree must be non-negative")
-    elems = _elements_for(spec, G)
-    diag_monos = [g.mono for g in elems if g.shape == "diagonal"]
-    others = [g for g in elems if g.shape != "diagonal"]  # antidiagonal
-    surviving = [
-        (i, d - i)
-        for i in range(d + 1)
-        if all((e1 * i + e2 * (d - i)) % m == 0 for m, e1, e2 in diag_monos)
-    ]
-    if not others:
-        return [AlgebraElt.monomial(1, i, j) for (i, j) in surviving]
+    _check_acts(spec, G)
+    a, b, c = G.char_lattice
 
-    surv = set(surviving)
-    q = spec.q
+    def d_fixed(i: int) -> bool:
+        return i % a == 0 and (d - i - i // a * b) % c == 0
+
+    anti = next((key for key in G.keys if not key[0]), None)
+    if anti is None:
+        return [AlgebraElt.monomial(1, i, d - i) for i in range(d + 1) if d_fixed(i)]
+    # t.u = w^f2 v and t.v = w^f1 u, so t(u^i v^j) = w^(f2 i + f1 j) q^(ij) u^j v^i,
+    # where q = -1 = w^(m/2) when q != 1 (antidiagonal groups have m even)
+    m = G.root_order
+    _, f1, f2 = anti
+    half = 0 if spec.q == 1 else m // 2
     basis: list[AlgebraElt] = []
-    for (i, j) in surviving:
-        if (j, i) not in surv:
+    for i in range(d // 2 + 1):
+        j = d - i
+        if not d_fixed(i):
             continue
-        if i > j:
-            continue  # handled at the (min, max) representative
-        # scalars s with h(u^i v^j) = s * u^j v^i, one per non-diagonal element
-        ratios = []
-        ok = True
-        for h in others:
-            s = (h.c ** i) * (h.b ** j) * (q ** (i * j))
-            s_back = (h.c ** j) * (h.b ** i) * (q ** (i * j))
-            if i == j:
-                if not s.is_one():
-                    ok = False
-                    break
-            else:
-                if not (s * s_back).is_one():
-                    ok = False
-                    break
-                ratios.append(s)
-        if not ok:
-            continue
-        if i == j:
+        e = (f2 * i + f1 * j + half * (i * j % 2)) % m
+        if i < j:
+            basis.append(AlgebraElt({Monomial(i, j): Cyclo.one(), Monomial(j, i): Cyclo.root(m, e)}))
+        elif e == 0:
             basis.append(AlgebraElt.monomial(1, i, i))
-            continue
-        first = ratios[0]
-        if any(not (r - first).is_zero() for r in ratios[1:]):
-            continue
-        basis.append(AlgebraElt({Monomial(i, j): Cyclo.one(), Monomial(j, i): first}))
-    basis.sort(key=lambda e: min(e.terms))
     return basis
 
 
@@ -105,9 +92,9 @@ def molien(spec: AlgebraSpec, G: GroupSpec, N: int) -> TruncatedSeries:
     (the imaginary parts cancel and |G| divides the total); any other value
     raises InternalInconsistencyError.
     """
-    elems = _elements_for(spec, G)
+    _check_acts(spec, G)
+    keys = G.keys
     m = G.root_order
-    keys = [g.mono_key(m) for g in elems]
     coeffs = []
     for d in range(N + 1):
         total = Cyclo.from_power_counts(m, trace_counts(spec, m, keys, d))
@@ -115,7 +102,7 @@ def molien(spec: AlgebraSpec, G: GroupSpec, N: int) -> TruncatedSeries:
             raise InternalInconsistencyError(
                 f"Molien coefficient at degree {d} is not rational"
             )
-        average = total.rational_value() / len(elems)
+        average = total.rational_value() / len(keys)
         if average.denominator != 1:
             raise InternalInconsistencyError(
                 f"Molien coefficient at degree {d} is not an integer: {average}"
@@ -126,7 +113,8 @@ def molien(spec: AlgebraSpec, G: GroupSpec, N: int) -> TruncatedSeries:
 
 def reynolds(spec: AlgebraSpec, G: GroupSpec, a: AlgebraElt, normalized: bool = True) -> AlgebraElt:
     """Group sum of the orbit of a (divided by |G| when normalized)."""
-    elems = _elements_for(spec, G)
+    _check_acts(spec, G)
+    elems = enumerate_group(G)
     total = AlgebraElt.zero()
     for g in elems:
         total = total + apply_aut(spec, g, a, checked=False)
@@ -162,31 +150,24 @@ def _uv_power(spec: AlgebraSpec, r: int) -> AlgebraElt:
     return power(spec, AlgebraElt.monomial(1, 1, 1), r)
 
 
+def _paired(spec: AlgebraSpec, e: int, sign_exp: int, r: int) -> AlgebraElt:
+    """(u^e + (-1)^sign_exp v^e) (uv)^r."""
+    head = AlgebraElt({Monomial(e, 0): 1, Monomial(0, e): (-1) ** sign_exp})
+    return mul(spec, head, _uv_power(spec, r))
+
+
+def _from_exponents(spec: AlgebraSpec, exponents) -> list[AlgebraElt]:
+    """(uv)^r for each (r,), and `_paired` for each (e, sign_exp, r)."""
+    return [_uv_power(spec, *exps) if len(exps) == 1 else _paired(spec, *exps) for exps in exponents]
+
+
 def _nc_generators(spec: AlgebraSpec, n: int, k: int) -> list[AlgebraElt]:
-    data = nc_series(n, k)
-    gens = []
-    for exps in data.generator_exponents():
-        if len(exps) == 1:
-            gens.append(_uv_power(spec, exps[0]))
-        else:
-            e, sign_exp, r = exps
-            head = AlgebraElt({Monomial(e, 0): 1, Monomial(0, e): (-1) ** sign_exp})
-            gens.append(mul(spec, head, _uv_power(spec, r)))
-    return gens
+    return _from_exponents(spec, nc_series(n, k).generator_exponents())
 
 
 def typeD_generators(spec: AlgebraSpec, m: int, q: int) -> list[AlgebraElt]:
     """(u^(2qs) + (-1)^t v^(2qs)) (uv)^r generators of the D_{m,q} invariants."""
-    data = typeD_data(m, q)
-    gens = []
-    for exps in data.generator_exponents():
-        if len(exps) == 1:
-            gens.append(_uv_power(spec, exps[0]))
-        else:
-            e, t, r = exps
-            head = AlgebraElt({Monomial(e, 0): 1, Monomial(0, e): (-1) ** t})
-            gens.append(mul(spec, head, _uv_power(spec, r)))
-    return gens
+    return _from_exponents(spec, typeD_data(m, q).generator_exponents())
 
 
 def generator_set(spec: AlgebraSpec, G: GroupSpec) -> GeneratorSet:
@@ -294,7 +275,7 @@ def verify_generation(
 def _brute_force_generators(spec: AlgebraSpec, G: GroupSpec) -> list[AlgebraElt]:
     """Deterministic degree-walk extraction: add fixed-space elements outside the
     current subalgebra span, in increasing degree and (i,j)-lex order."""
-    order = len(enumerate_group(G))
+    order = len(G.keys)
     cap = max(2 * order, 8)
     hard_cap = 4 * order + 16
     while True:
@@ -341,8 +322,7 @@ def gnk_basis(n: int, k: int, d: int) -> list[AlgebraElt]:
         while n * s <= d:
             if (d - n * s) % 2 == 0:
                 r = (d - n * s) // 2
-                head = AlgebraElt({Monomial(n * s, 0): 1, Monomial(0, n * s): (-1) ** (r + n * s)})
-                out.append(mul(spec, head, _uv_power(spec, r)))
+                out.append(_paired(spec, n * s, r + n * s, r))
             s += 1
     return out
 
@@ -387,14 +367,11 @@ def theta_correspondence(n: int, k: int, N: int = 40) -> dict:
     G = GroupSpec.gnk(n, k)
     qm1 = G.ambient
     comm = AlgebraSpec.commutative()
-    if n == 1:
-        target = {"kind": "cyclic", "order": 2 * k, "weight": k + 1}
-        target_group = GroupSpec.cyclic(2 * k, k + 1, comm)
-        target_degrees = sorted(typeA_data(2 * k, k + 1).generator_degrees())
-    elif n == 2:
-        target = {"kind": "cyclic", "order": 4 * k, "weight": 2 * k + 1}
-        target_group = GroupSpec.cyclic(4 * k, 2 * k + 1, comm)
-        target_degrees = sorted(typeA_data(4 * k, 2 * k + 1).generator_degrees())
+    if n <= 2:
+        order, weight = 2 * n * k, n * k + 1
+        target = {"kind": "cyclic", "order": order, "weight": weight}
+        target_group = GroupSpec.cyclic(order, weight, comm)
+        target_degrees = sorted(typeA_data(order, weight).generator_degrees())
     else:
         m, q = theta_map(n, k)
         target = {"kind": "dihedral", "m": m, "q": q}

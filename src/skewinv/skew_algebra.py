@@ -378,14 +378,6 @@ def _shape_hint(spec: AlgebraSpec) -> str:
     return "valid maps are diagonal when q != +-1"
 
 
-def is_valid_automorphism(spec: AlgebraSpec, M: Mat2) -> bool:
-    try:
-        validate_automorphism(spec, M)
-        return True
-    except InvalidAutomorphismError:
-        return False
-
-
 def apply_aut(spec: AlgebraSpec, M: Mat2, elt: AlgebraElt, checked: bool = True) -> AlgebraElt:
     """Apply the graded automorphism M to elt (substitute, expand, normalize)."""
     if checked:

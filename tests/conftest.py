@@ -1,0 +1,20 @@
+from math import gcd
+
+import pytest
+
+from skewinv.group_actions import GroupSpec
+from skewinv.scalars import Cyclo
+from skewinv.skew_algebra import AlgebraSpec
+
+
+@pytest.fixture(scope="session")
+def family_groups():
+    """G_{n,k} with n, k <= 6, 1/n(1,a) on q = w5, -1 and 1, Jordan 1/n(1,1)
+    and D_{m,q} with m <= 7."""
+    groups = [GroupSpec.gnk(n, k) for n in range(1, 7) for k in range(1, 7)]
+    for q in (Cyclo.root(5), Cyclo.from_rational(-1), Cyclo.one()):
+        spec = AlgebraSpec.quantum(q)
+        groups += [GroupSpec.cyclic(n, a, spec) for n in range(2, 8) for a in range(1, n)]
+    groups += [GroupSpec.cyclic(n, 1, AlgebraSpec.jordan()) for n in range(2, 7)]
+    groups += [GroupSpec.dihedral(m, q) for m in range(3, 8) for q in range(2, m) if gcd(m, q) == 1]
+    return groups

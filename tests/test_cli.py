@@ -195,10 +195,12 @@ def test_verify_pres_stdout_unchanged(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# stdout digests recorded at the commits before two changes, which must
+# stdout digests recorded at the commits before three changes, which must
 # reproduce them byte for byte: group products that keep their exponent form
-# (the first nine), and roots of unity built once per order by one reduction
-# modulo Phi_m, with the smash-product index keyed by exponents (the rest)
+# (the first nine), roots of unity built once per order by one reduction
+# modulo Phi_m, with the smash-product index keyed by exponents (up to
+# auslander53), and fixed spaces read from each group's exponent keys (the
+# last two, which take the brute-force generator walk)
 QM1_GNK = ("--algebra", "qminus1", "--group", "gnk")
 MONOMIAL_CORE_DIGESTS = [
     (
@@ -250,6 +252,11 @@ MONOMIAL_CORE_DIGESTS = [
         "1a24314160d1612d66d07296b5e928a5ffc1addc1340a775bcc4aab70bd0938d",
     ),
     (("auslander", *QM1_GNK, "5", "3"), "638c2da49d45acb10c0fc56315e865201a9cb0855ca5ea12f6fe2e604c22da64"),
+    (
+        ("generators", *QM1_GNK, "4", "3", "--verify", "24"),
+        "f482e07ef7bb3b04b46a1f6c9a4a4591af1c381fa719a5a63a639082d4a3e1d4",
+    ),
+    (("theta", "4", "3", "--N", "40"), "bb0423ded985376e9dddf4ee8645dec53a0a7bf99acede7b47b282bf26ea944d"),
 ]
 
 
@@ -259,12 +266,29 @@ MONOMIAL_CORE_DIGESTS = [
     ids=["trace53_g2h", "trace53_h3", "trace42_ghg", "trace42_g4h2", "molien_comm6_5",
          "theta34", "generators21", "classify64", "gh53", "classify29_23", "classify30_24",
          "molien_q7_cyclic9_4", "molien_gnk87", "trace75_gh3", "present_quantum7_3",
-         "auslander53"],
+         "auslander53", "generators43", "theta43"],
 )
 def test_monomial_core_stdout_unchanged(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_classify_builds_no_root_table(capsys, monkeypatch):
+    # classification reads exponent keys, so G_(29,23) needs no w_1334 table
+    from skewinv import scalars
+
+    orders = []
+    roots = scalars._roots
+
+    def spy(m):
+        orders.append(m)
+        return roots(m)
+
+    monkeypatch.setattr(scalars, "_roots", spy)
+    code, out, _ = run_cli(capsys, "classify", *QM1_GNK, "29", "23")
+    assert code == 0 and json.loads(out)["report"]["order"] == 1334
+    assert 1334 not in orders
 
 
 def test_auslander_degenerate_gnk_takes_graph_path(capsys):

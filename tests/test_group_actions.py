@@ -4,6 +4,7 @@ import pytest
 
 from skewinv.errors import InfiniteOrderError, ParameterError
 from skewinv.group_actions import (
+    DihedralMQ,
     GradedAut,
     GroupSpec,
     RationalFunction,
@@ -193,7 +194,8 @@ def is_quasi_reflection_by_series(spec: AlgebraSpec, g: GradedAut, N: int = 12) 
     """Series oracle: trace * (1 - t) must be geometric 1/(1 - lambda t), lambda != 1."""
     validate_automorphism(spec, g)
     _check_finite_order(spec, g)
-    series = trace_series(spec, g, N).mul_poly([1, -1])
+    trace = trace_series(spec, g, N).coeffs
+    series = [trace[0]] + [trace[d] - trace[d - 1] for d in range(1, N + 1)]  # times (1 - t)
     if not series[0].is_one():
         return False
     lam = series[1]
@@ -309,6 +311,26 @@ def test_cor_313_trivial_hdet_cases():
     for n in range(2, 7):
         rep = group_report(GroupSpec.cyclic(n, 1, JORDAN))
         assert rep["hdet_trivial"] == (n == 2)
+
+
+def test_family_generators_are_automorphisms(family_groups):
+    # the variant checks in GroupSpec admit only planes where this holds
+    for G in family_groups:
+        for g in G.generators():
+            validate_automorphism(G.ambient, g)
+    for m, q in ((3, 2), (5, 3), (7, 4)):
+        with pytest.raises(ParameterError):
+            GroupSpec(DihedralMQ(m, q), QM1)
+
+
+def test_key_classification_matches_matrices(family_groups):
+    # smallness and hdet triviality from the keys equal the public
+    # per-matrix rules (the general path on the Jordan plane)
+    for G in family_groups:
+        elems = enumerate_group(G)
+        assert is_small_brute(G) == (not any(is_quasi_reflection(G.ambient, g) for g in elems))
+        if not G.ambient.is_commutative:
+            assert group_report(G)["hdet_trivial"] == all(hdet(G.ambient, g).is_one() for g in elems)
 
 
 def test_gnk_requires_qminus1():

@@ -20,7 +20,7 @@ from skewinv.invariants import (
     verify_generation,
 )
 from skewinv.scalars import Cyclo
-from skewinv.skew_algebra import AlgebraElt, AlgebraSpec, Monomial, mul, power
+from skewinv.skew_algebra import AlgebraElt, AlgebraSpec, Monomial, mul, power, to_text
 
 QM1 = AlgebraSpec.quantum(Cyclo.from_rational(-1))
 Q5 = AlgebraSpec.quantum(Cyclo.root(5))
@@ -51,6 +51,53 @@ def test_fixed_space_gnk73_degree9():
     assert basis[0] == expected.scale(lead.inverse())
 
 
+def fixed_space_by_elements(spec, G, d):
+    """Oracle: the fixed space from every element's matrix entries.  Diagonal
+    elements filter the monomials; each antidiagonal h must send u^i v^j to
+    one common multiple of u^j v^i."""
+    elems = enumerate_group(G)
+    diag_monos = [g.mono for g in elems if g.shape == "diagonal"]
+    others = [g for g in elems if g.shape != "diagonal"]  # antidiagonal
+    surviving = [
+        (i, d - i)
+        for i in range(d + 1)
+        if all((e1 * i + e2 * (d - i)) % m == 0 for m, e1, e2 in diag_monos)
+    ]
+    if not others:
+        return [AlgebraElt.monomial(1, i, j) for (i, j) in surviving]
+    surv = set(surviving)
+    q = spec.q
+    basis = []
+    for (i, j) in surviving:
+        if (j, i) not in surv or i > j:
+            continue
+        # scalars s with h(u^i v^j) = s * u^j v^i, one per antidiagonal element
+        ratios = []
+        ok = True
+        for h in others:
+            s = (h.c ** i) * (h.b ** j) * (q ** (i * j))
+            s_back = (h.c ** j) * (h.b ** i) * (q ** (i * j))
+            if not (s.is_one() if i == j else (s * s_back).is_one()):
+                ok = False
+                break
+            ratios.append(s)
+        if not ok:
+            continue
+        if i == j:
+            basis.append(AlgebraElt.monomial(1, i, i))
+        elif all((r - ratios[0]).is_zero() for r in ratios[1:]):
+            basis.append(AlgebraElt({Monomial(i, j): Cyclo.one(), Monomial(j, i): ratios[0]}))
+    basis.sort(key=lambda e: min(e.terms))
+    return basis
+
+
+def test_fixed_space_matches_all_elements_oracle(family_groups):
+    for G in family_groups:
+        for d in range(25):
+            got = [to_text(e) for e in fixed_space(G.ambient, G, d)]
+            assert got == [to_text(e) for e in fixed_space_by_elements(G.ambient, G, d)], (G, d)
+
+
 def test_molien_trivial_group():
     series = molien(Q5, GroupSpec.cyclic(1, 0, Q5), 6)
     assert series.integer_coeffs() == [1, 2, 3, 4, 5, 6, 7]
@@ -77,14 +124,14 @@ def test_molien_gnk73_closed_form():
 def test_molien_counting_agrees_with_generic_sum():
     for G in (GroupSpec.gnk(3, 2), GroupSpec.cyclic(5, 2, Q5), GroupSpec.dihedral(3, 2)):
         fast = molien(G.ambient, G, 12)
-        total = None
+        total = [Cyclo.zero()] * 13
         elems = enumerate_group(G)
         for g in elems:
             from skewinv.group_actions import trace_series
 
             s = trace_series(G.ambient, g, 12)
-            total = s if total is None else total + s
-        slow = [c * Fraction(1, len(elems)) for c in total.coeffs]
+            total = [a + b for a, b in zip(total, s.coeffs)]
+        slow = [c * Fraction(1, len(elems)) for c in total]
         assert all((a - b).is_zero() for a, b in zip(fast.coeffs, slow))
 
 

@@ -10,12 +10,12 @@ from skewinv.skew_algebra import (
     Mat2,
     Monomial,
     apply_aut,
-    is_valid_automorphism,
     mul,
     power,
     relation_image_scalar,
     reorder,
     to_text,
+    validate_automorphism,
 )
 
 QM1 = AlgebraSpec.quantum(Cyclo.from_rational(-1))
@@ -157,6 +157,14 @@ def test_apply_aut_antidiagonal_qminus1():
     uv = AlgebraElt.monomial(1, 1, 1)
     # u -> c v, v -> b u gives uv -> cb * vu = -bc * uv
     assert apply_aut(QM1, M, uv) == AlgebraElt.monomial(-(b * c), 1, 1)
+
+
+def is_valid_automorphism(spec, M):
+    try:
+        validate_automorphism(spec, M)
+        return True
+    except InvalidAutomorphismError:
+        return False
 
 
 def test_automorphism_validity_rules():
