@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from .auslander import finite_dim_witness, verify_GH_identities
 from .errors import InternalInconsistencyError, SkewInvError
@@ -333,7 +334,10 @@ def _cmd_gh(args) -> dict:
     return {"command": "gh-identities", **report}
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: it keeps no state between
+    `parse_args` calls, each of which returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="skewinv",
         description="Exact invariant theory of the quantum and Jordan planes",
@@ -454,8 +458,7 @@ def main(argv: list[str] | None = None) -> int:
     # `hj P Q` is shorthand for `hj expand P Q`
     if argv and argv[0] == "hj" and len(argv) >= 2 and argv[1].lstrip("-").isdigit():
         argv.insert(1, "expand")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         for flag in ("N", "d", "verify"):
             value = getattr(args, flag, None)

@@ -5,7 +5,8 @@ keys, never its matrices: the diagonal subgroup's character lattice filters
 the monomial basis, and the first antidiagonal key (when present) pins down
 the pairings between u^i v^j and u^j v^i.  Generation is
 verified degree by degree: the span of products of generators must have the
-Molien dimension in every degree up to the bound.
+Molien dimension in every degree up to the bound, which a rank mod p
+certifies and the exact span decides otherwise.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .group_actions import (
     trace_counts,
 )
 from .hj_series import nc_series, typeA_data, typeD_data
-from .linalg import SpanBuilder
+from .linalg import EXACT, PrimeField, SpanBuilder
 from .scalars import Cyclo
 from .skew_algebra import (
     AlgebraElt,
@@ -33,7 +34,9 @@ from .skew_algebra import (
     Monomial,
     apply_aut,
     mul,
+    mul_terms,
     power,
+    reorder_rule,
     to_text,
     validate_automorphism,
 )
@@ -212,63 +215,82 @@ def _degree_cols(elt: AlgebraElt) -> dict[int, Cyclo]:
     return {mon.i: c for mon, c in elt.terms.items()}
 
 
-def _cols_to_elt(cols: dict[int, Cyclo], d: int) -> AlgebraElt:
-    return AlgebraElt({Monomial(i, d - i): c for i, c in cols.items()})
-
-
-def _add_products(
-    spec: AlgebraSpec, spans: list[SpanBuilder], gens: list[AlgebraElt], d: int
-) -> None:
-    """Add to spans[d] the products b * g, g in gens of degree e <= d, b in spans[d - e]."""
-    for g in gens:
-        e = g.degree()
+def _add_products(rule, spans: list[SpanBuilder], gens: list[tuple[dict, int]], d: int) -> None:
+    """Add to spans[d] the products b * g, for (g, e) in gens with e <= d and b
+    in spans[d - e]; g is a term map over the spans' field and `rule` is the
+    plane's `reorder_rule` over that field."""
+    field = spans[d].field
+    for g, e in gens:
         if e > d:
             continue
         for row in spans[d - e].basis():
-            prod = mul(spec, _cols_to_elt(row, d - e), g)
-            if not prod.is_zero():
-                spans[d].add(_degree_cols(prod))
+            prod = mul_terms(rule, {(i, d - e - i): c for i, c in row.items()}, g, field)
+            if prod:
+                spans[d].add({mon.i: c for mon, c in prod.items()})
 
 
 def subalgebra_spans(
-    spec: AlgebraSpec, gens: list[AlgebraElt], N: int
+    spec: AlgebraSpec, gens: list[AlgebraElt], N: int, field=EXACT
 ) -> list[SpanBuilder]:
-    """Per-degree spans of the unital subalgebra generated by gens, degrees 0..N."""
+    """Per-degree spans of the unital subalgebra generated by gens, degrees 0..N,
+    over `field`, with the generator coefficients and q mapped into it.
+
+    Over a `PrimeField` F_p reached from R = Z_(p)[w_M], with every coefficient
+    and q in R, the degree-d span is the span of the reductions of all
+    degree-d generator words: by induction on d, since reduction is a ring map
+    and the plane's structure constants lie in R.  So its rank is at most the
+    rank of the words over Q(w_M), the exact rank: a minor that is nonzero mod
+    p is nonzero in R."""
     for g in gens:
         if g.is_zero() or not g.is_homogeneous():
             raise ParameterError("generators must be nonzero and homogeneous")
-    spans = [SpanBuilder() for _ in range(N + 1)]
-    spans[0].add({0: Cyclo.one()})
+    spans = [SpanBuilder(field=field) for _ in range(N + 1)]
+    spans[0].add({0: field.one})
+    rule = reorder_rule(spec, field)
+    terms = [({mon: field.coerce(c) for mon, c in g.terms.items()}, g.degree()) for g in gens]
     for d in range(1, N + 1):
-        _add_products(spec, spans, gens, d)
+        _add_products(rule, spans, terms, d)
     return spans
 
 
 def verify_generation(
     spec: AlgebraSpec, G: GroupSpec, gens: GeneratorSet, N: int
 ) -> dict:
-    """Compare the span of products of generators with the Molien dimensions."""
+    """Compare the span of products of generators with the Molien dimensions.
+
+    The spans are first built over a `PrimeField` that every generator
+    coefficient and q map into.  Their rank there is at most the exact rank
+    (see `subalgebra_spans`), which is at most dim A^G_d, because products of
+    invariants are invariant.  So an F_p rank equal to the Molien dimension in
+    every degree through N proves the exact rank equal too
+    ("certified_mod_p").  Otherwise the exact spans decide every span_dim and
+    the first failure ("exact").  A rank above the Molien dimension, over
+    either field, raises InternalInconsistencyError."""
     for g in gens.generators:
         if not is_invariant(spec, G, g):
             raise ParameterError(f"generator is not invariant: {to_text(g)}")
     target = molien(spec, G, N).integer_coeffs()
-    spans = subalgebra_spans(spec, gens.generators, N)
-    dims = []
-    first_failure = None
-    for d in range(N + 1):
-        got = spans[d].rank
-        dims.append({"degree": d, "span_dim": got, "invariant_dim": target[d]})
-        if got > target[d]:
+    scalars = [c for g in gens.generators for c in g.terms.values()]
+    if spec.is_quantum:
+        scalars.append(spec.q)
+    for method, field in (("certified_mod_p", PrimeField.for_scalars(scalars)), ("exact", EXACT)):
+        ranks = [span.rank for span in subalgebra_spans(spec, gens.generators, N, field)]
+        over = next((d for d in range(N + 1) if ranks[d] > target[d]), None)
+        if over is not None:
             raise InternalInconsistencyError(
-                f"span dimension exceeds the invariant dimension at degree {d}"
+                f"span dimension exceeds the invariant dimension at degree {over}"
             )
-        if got < target[d] and first_failure is None:
-            first_failure = d
+        if ranks == target:
+            break
+    first_failure = next((d for d in range(N + 1) if ranks[d] < target[d]), None)
     return {
         "ok": first_failure is None,
         "first_failure": first_failure,
         "N": N,
-        "dims": dims,
+        "dims": [
+            {"degree": d, "span_dim": ranks[d], "invariant_dim": target[d]} for d in range(N + 1)
+        ],
+        "span_method": method,
     }
 
 
@@ -278,12 +300,13 @@ def _brute_force_generators(spec: AlgebraSpec, G: GroupSpec) -> list[AlgebraElt]
     order = len(G.keys)
     cap = max(2 * order, 8)
     hard_cap = 4 * order + 16
+    rule = reorder_rule(spec)
     while True:
         gens: list[AlgebraElt] = []
         spans = [SpanBuilder() for _ in range(cap + 1)]
         spans[0].add({0: Cyclo.one()})
         for d in range(1, cap + 1):
-            _add_products(spec, spans, gens, d)
+            _add_products(rule, spans, [(g.terms, g.degree()) for g in gens], d)
             for vec in fixed_space(spec, G, d):
                 if spans[d].add(_degree_cols(vec)):
                     gens.append(vec)

@@ -5,7 +5,8 @@ always on the smallest column index, so reduced bases are deterministic.
 `SpanBuilder` is the engine; `rref` and `nullspace` are built on it.  The
 engine takes its arithmetic from a field object: `EXACT` is Q(w_m) on `Cyclo`
 scalars, and a `PrimeField` is F_p on ints in [0, p), reached from Q(w_M) by
-the ring map that sends w_M to an element of exact order M.
+the ring map that sends w_M to an element of exact order M.  Plain ints are
+scalars of both fields.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import operator
 
 from .errors import ParameterError
-from .scalars import Cyclo, prime_factors
+from .scalars import Cyclo, lcm, prime_factors
 
 
 def vec_add_scaled(target: dict, src: dict, c: Cyclo) -> None:
@@ -35,11 +36,16 @@ class ExactField:
     neg = staticmethod(operator.neg)
 
     @staticmethod
+    def normalize(vec: dict) -> dict:
+        """vec without its zero entries."""
+        return {key: c for key, c in vec.items() if not c.is_zero()}
+
+    @staticmethod
     def inverse(a: Cyclo) -> Cyclo:
         return a.inverse()
 
     @staticmethod
-    def coerce(c: Cyclo) -> Cyclo:
+    def coerce(c: Cyclo | int) -> Cyclo | int:
         return c
 
 
@@ -73,7 +79,8 @@ class PrimeField:
     F_p* is cyclic of order p - 1, so it has elements of exact order M; zeta is
     the first one found, a root of Phi_M mod p.  A `Cyclo` of order dividing M
     whose denominator is prime to p lies in Z_(p)[w_M], and w_M -> zeta is a
-    ring map from there onto F_p: `coerce` applies it."""
+    ring map from there onto F_p: `coerce` applies it.  Products of residues
+    may be left unreduced until they reach `normalize` or `axpy`."""
 
     LIMIT = 1 << 30
     one = 1
@@ -95,6 +102,21 @@ class PrimeField:
         self.p, self.M, self.zeta = p, M, zeta
         self._powers = [pow(zeta, e, p) for e in range(M)]
 
+    @classmethod
+    def for_scalars(cls, scalars) -> "PrimeField":
+        """The F_p that every `Cyclo` in `scalars` maps into: M is the lcm of
+        their orders, and p divides none of their denominators."""
+        M, dens = 1, set()
+        for c in scalars:
+            M = lcm(M, c.order)
+            dens.add(c.den)
+        return cls(M, dens)
+
+    def normalize(self, vec: dict) -> dict:
+        """vec with its entries reduced mod p and the zeros dropped."""
+        p = self.p
+        return {key: r for key, c in vec.items() if (r := c % p)}
+
     def axpy(self, target: dict, src: dict, c: int) -> None:
         """target += c * src mod p, dropping cancelled entries."""
         p = self.p
@@ -112,8 +134,10 @@ class PrimeField:
     def inverse(self, a: int) -> int:
         return pow(a, -1, self.p)
 
-    def coerce(self, c: Cyclo) -> int:
+    def coerce(self, c: Cyclo | int) -> int:
         """The image of c: sum of num[i] * zeta^(i * M / order), over den."""
+        if type(c) is int:
+            return c % self.p
         if self.M % c.order:
             raise ParameterError(f"order {c.order} does not divide {self.M}")
         p, step = self.p, self.M // c.order

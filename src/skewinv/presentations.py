@@ -23,7 +23,7 @@ from .group_actions import GroupSpec
 from .hj_series import typeA_data
 from .invariants import GeneratorSet, generator_set, molien, subalgebra_spans
 from .linalg import EXACT, PrimeField, nullspace, rref
-from .scalars import Cyclo, gen_binomial, lcm
+from .scalars import Cyclo, gen_binomial
 from .skew_algebra import AlgebraElt, AlgebraSpec, mul, to_text
 
 FreeWord = tuple[int, ...]
@@ -346,12 +346,7 @@ def truncated_quotient_dims(pres: Presentation, N: int, field=EXACT) -> list[int
 
 def _prime_field(pres: Presentation) -> PrimeField:
     """The F_p that every relation coefficient maps into."""
-    M, dens = 1, set()
-    for rel in pres.relations:
-        for c, _ in rel:
-            M = lcm(M, c.order)
-            dens.add(c.den)
-    return PrimeField(M, dens)
+    return PrimeField.for_scalars(c for rel in pres.relations for c, _ in rel)
 
 
 def verify_presentation(

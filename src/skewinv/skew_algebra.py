@@ -8,12 +8,13 @@ The commutative plane is the quantum plane with q = 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidAutomorphismError, ParameterError
-from .scalars import Cyclo, gen_binomial
+from .linalg import EXACT
+from .scalars import Cyclo
 
 
 class Monomial(NamedTuple):
@@ -128,7 +129,7 @@ def to_text(elt: AlgebraElt) -> str:
 class AlgebraSpec:
     """Which plane we work in; q is kept exactly as a cyclotomic scalar."""
 
-    __slots__ = ("kind", "q")
+    __slots__ = ("kind", "q", "_rule")
 
     def __init__(self, kind: str, q: Cyclo | None = None):
         if kind not in ("quantum", "jordan"):
@@ -144,6 +145,7 @@ class AlgebraSpec:
                 raise ParameterError("the Jordan plane has no q parameter")
         self.kind = kind
         self.q = q
+        self._rule = None
 
     @staticmethod
     def quantum(q) -> "AlgebraSpec":
@@ -186,69 +188,65 @@ class AlgebraSpec:
 
 
 @lru_cache(maxsize=None)
-def _jordan_reorder_coeffs(i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
-    # v^i u^j = sum_k k! C(j+k-1, k) C(i, k) u^(j+k) v^(i-k)
-    out = []
-    fact = 1
-    for k in range(i + 1):
-        if k:
-            fact *= k
-        c = fact * gen_binomial(j + k - 1, k) * gen_binomial(i, k)
-        if c:
-            out.append((k, c))
-    return tuple(out)
+def _jordan_reorder_coeffs(i: int, j: int) -> tuple[tuple[int, int], ...]:
+    # v^i u^j = sum_k k! C(j+k-1, k) C(i, k) u^(j+k) v^(i-k); for j = 0 only
+    # k = 0 survives, since C(k-1, k) = 0 for k >= 1
+    if j == 0:
+        return ((0, 1),)
+    return tuple((k, factorial(k) * comb(j + k - 1, k) * comb(i, k)) for k in range(i + 1))
+
+
+def reorder_rule(spec: AlgebraSpec, field=EXACT):
+    """The plane's commutation rule v^j u^i = sum_k c_k u^(i+k) v^(j-k), as a
+    cached function (j, i) -> ((k, c_k), ...) with each c_k mapped into
+    `field`: c_0 = q^(ij) on the quantum plane, and the integers of
+    `_jordan_reorder_coeffs` on the Jordan plane.  These are the structure
+    constants of every product in this module; the exact rule is kept on the
+    spec."""
+    if field is EXACT and spec._rule is not None:
+        return spec._rule
+    if spec.is_quantum:
+        q = spec.q
+
+        def coeffs(j: int, i: int):
+            return ((0, q ** (j * i)),)
+    else:
+        coeffs = _jordan_reorder_coeffs
+
+    @lru_cache(maxsize=None)
+    def rule(j: int, i: int):
+        return tuple((k, field.coerce(c)) for k, c in coeffs(j, i))
+
+    if field is EXACT:
+        spec._rule = rule
+    return rule
 
 
 def reorder(spec: AlgebraSpec, i: int, j: int) -> AlgebraElt:
     """Normal form of v^i u^j."""
     if i < 0 or j < 0:
         raise ParameterError("exponents must be non-negative")
-    if i == 0 or j == 0:
-        return AlgebraElt.monomial(1, j, i)
-    if spec.is_quantum:
-        return AlgebraElt.monomial(spec.q ** (i * j), j, i)
-    res = AlgebraElt()
-    res.terms = {
-        Monomial(j + k, i - k): Cyclo.from_rational(c) for k, c in _jordan_reorder_coeffs(i, j)
-    }
-    return res
+    return AlgebraElt({Monomial(j + k, i - k): c for k, c in reorder_rule(spec)(i, j)})
+
+
+def mul_terms(rule, a: dict, b: dict, field=EXACT) -> dict:
+    """Product of the term maps a, b ({(i, j): scalar of `field`}) under the
+    commutation rule `rule` from `reorder_rule`, as a term map keyed by Monomial."""
+    out: dict = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            c = c1 * c2
+            for k, w in rule(j1, i2):
+                mon = Monomial(i1 + i2 + k, j1 - k + j2)
+                cur = out.get(mon)
+                out[mon] = c * w if cur is None else cur + c * w
+    return field.normalize(out)
 
 
 def mul(spec: AlgebraSpec, a: AlgebraElt, b: AlgebraElt) -> AlgebraElt:
     """Exact product in normal form (bilinear extension of reorder)."""
-    out: dict[Monomial, Cyclo] = {}
-    if spec.is_quantum:
-        q = spec.q
-        qpow: dict[int, Cyclo] = {}
-        for (i1, j1), c1 in a.terms.items():
-            for (i2, j2), c2 in b.terms.items():
-                e = j1 * i2
-                f = qpow.get(e)
-                if f is None:
-                    f = qpow[e] = q ** e
-                mon = Monomial(i1 + i2, j1 + j2)
-                c = c1 * c2 * f
-                cur = out.get(mon)
-                new = c if cur is None else cur + c
-                if new.is_zero():
-                    out.pop(mon, None)
-                else:
-                    out[mon] = new
-    else:
-        for (i1, j1), c1 in a.terms.items():
-            for (i2, j2), c2 in b.terms.items():
-                c = c1 * c2
-                for k, w in _jordan_reorder_coeffs(j1, i2):
-                    mon = Monomial(i1 + i2 + k, j1 - k + j2)
-                    cc = c * w
-                    cur = out.get(mon)
-                    new = cc if cur is None else cur + cc
-                    if new.is_zero():
-                        out.pop(mon, None)
-                    else:
-                        out[mon] = new
     res = AlgebraElt()
-    res.terms = out
+    res.terms = mul_terms(reorder_rule(spec), a.terms, b.terms)
     return res
 
 

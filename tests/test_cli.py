@@ -274,6 +274,46 @@ def test_monomial_core_stdout_unchanged(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_generators_jordan_verify_stdout_unchanged(capsys):
+    # recorded with the exact generation check as the only path
+    code, out, _ = run_cli(
+        capsys, "generators", "--algebra", "jordan", "--group", "cyclic", "4", "1", "--verify", "24"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b02d3512152205d00813a33eda02222175c403b316a80eddb76ba5c0231028cb"
+    )
+
+
+def test_main_reuses_one_parser(capsys):
+    from skewinv import cli
+
+    queries = [
+        ("molien", *QM1_GNK, "3", "1", "--N", "12", "--format", "text"),
+        ("molien", *QM1_GNK, "3", "1", "--N", "12"),
+        ("hj", "17", "14"),
+        ("molien", "--algebra", "qminus1", "--N", "12"),  # no --group: argparse exits 2
+        ("generators", "--algebra", "jordan", "--group", "cyclic", "2", "1", "--verify", "8"),
+    ]
+
+    def run(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    reused = [run(argv) for argv in queries]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in queries:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [code for code, _ in reused] == [0, 0, 0, 2, 0]
+    assert not reused[0][1].startswith("{") and json.loads(reused[1][1])["command"] == "molien"
+
+
 def test_classify_builds_no_root_table(capsys, monkeypatch):
     # classification reads exponent keys, so G_(29,23) needs no w_1334 table
     from skewinv import scalars

@@ -7,6 +7,7 @@ from skewinv import invariants
 from skewinv.errors import InternalInconsistencyError, ParameterError
 from skewinv.group_actions import GroupSpec, RationalFunction, enumerate_group
 from skewinv.invariants import (
+    GeneratorSet,
     eta_map,
     fixed_space,
     generator_set,
@@ -19,6 +20,7 @@ from skewinv.invariants import (
     theta_map,
     verify_generation,
 )
+from skewinv.linalg import PrimeField
 from skewinv.scalars import Cyclo
 from skewinv.skew_algebra import AlgebraElt, AlgebraSpec, Monomial, mul, power, to_text
 
@@ -275,14 +277,49 @@ def test_verify_generation_kleinian():
 
 
 def test_verify_generation_drop_one_fails():
-    from skewinv.invariants import GeneratorSet
-
     G = GroupSpec.gnk(7, 3)
     gs = generator_set(QM1, G)
     dropped = GeneratorSet(gs.generators[:3], gs.degrees[:3], gs.provenance)
     report = verify_generation(QM1, G, dropped, 20)
     assert not report["ok"]
     assert report["first_failure"] == 12
+    # the mod-p ranks miss the Molien dimensions, so the exact spans decide
+    assert report["span_method"] == "exact"
+    exact = [s.rank for s in subalgebra_spans(QM1, dropped.generators, 20)]
+    assert [row["span_dim"] for row in report["dims"]] == exact
+    assert exact[12] < report["dims"][12]["invariant_dim"]
+
+
+def _generation_field(spec, gens):
+    scalars = [c for g in gens for c in g.terms.values()]
+    return PrimeField.for_scalars(scalars + ([spec.q] if spec.is_quantum else []))
+
+
+CERTIFIED_GENERATION = (
+    [(JORDAN, GroupSpec.cyclic(n, 1, JORDAN), 4 * n) for n in range(2, 7)]
+    + [(Q5, GroupSpec.cyclic(n, a, Q5), 3 * n) for n, a in ((3, 1), (5, 2), (6, 5), (7, 3))]
+    + [(QM1, GroupSpec.gnk(n, k), 30) for n, k in ((3, 1), (1, 3), (5, 3), (7, 3), (4, 3), (2, 3))]
+)
+
+
+@pytest.mark.parametrize(
+    "spec,G,N", CERTIFIED_GENERATION, ids=[G.describe() for _, G, _ in CERTIFIED_GENERATION]
+)
+def test_generation_certified_mod_p_matches_exact_ranks(spec, G, N):
+    gs = generator_set(spec, G)
+    field = _generation_field(spec, gs.generators)
+    mod_p = [s.rank for s in subalgebra_spans(spec, gs.generators, N, field)]
+    exact = [s.rank for s in subalgebra_spans(spec, gs.generators, N)]
+    assert mod_p == exact
+    report = verify_generation(spec, G, gs, N)
+    assert report["ok"] and report["span_method"] == "certified_mod_p"
+    assert [row["span_dim"] for row in report["dims"]] == exact
+
+
+def test_generation_provenances_covered():
+    # the certificate cases reach every generator formula of the noncommutative planes
+    provenances = {generator_set(spec, G).provenance for spec, G, _ in CERTIFIED_GENERATION}
+    assert provenances == {"jordan_formula", "typeA_formula", "nc_formula", "brute_force"}
 
 
 def test_subalgebra_spans_unit():

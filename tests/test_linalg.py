@@ -150,6 +150,14 @@ def test_prime_field_for_every_order_up_to_60():
         assert _is_prime_by_trial_division(other.p)
 
 
+def test_prime_field_for_scalars_takes_lcm_order_and_denominators():
+    scalars = [Cyclo.root(4), Cyclo.root(6) * Fraction(1, 7), Cyclo.from_rational(Fraction(3, 5))]
+    field = PrimeField.for_scalars(scalars)
+    assert (field.M, field.p) == (12, PrimeField(12, [7, 5]).p)
+    assert field.coerce(-3) == field.p - 3
+    assert field.normalize({0: field.p, 1: field.p + 2}) == {1: 2}
+
+
 _ORDERS_OF_60 = [1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60]
 _SMALL_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 

@@ -1,9 +1,10 @@
 import random
+from math import factorial
 
 import pytest
 
 from skewinv.errors import InvalidAutomorphismError
-from skewinv.scalars import Cyclo
+from skewinv.scalars import Cyclo, gen_binomial
 from skewinv.skew_algebra import (
     AlgebraElt,
     AlgebraSpec,
@@ -15,6 +16,7 @@ from skewinv.skew_algebra import (
     relation_image_scalar,
     reorder,
     to_text,
+    _jordan_reorder_coeffs,
     validate_automorphism,
 )
 
@@ -61,6 +63,21 @@ def test_reorder_quantum_basic():
 
 def test_reorder_jordan_basic():
     assert reorder(JORDAN, 1, 1) == AlgebraElt({(1, 1): 1, (2, 0): 1})
+
+
+def test_jordan_reorder_coeffs_match_binomial_formula():
+    # k! C(j+k-1, k) C(i, k) with generalized binomials, zero terms dropped;
+    # at j = 0 only the k = 0 term is nonzero
+    for i in range(40):
+        for j in range(40):
+            expected = []
+            for k in range(i + 1):
+                c = factorial(k) * gen_binomial(j + k - 1, k) * gen_binomial(i, k)
+                if c:
+                    expected.append((k, c))
+            got = _jordan_reorder_coeffs(i, j)
+            assert list(got) == expected, (i, j)
+            assert all(type(c) is int for _, c in got)
 
 
 def test_reorder_jordan_21():
