@@ -423,29 +423,27 @@ def trace_closed_form(spec: AlgebraSpec, g: GradedAut) -> RationalFunction | Non
     return None
 
 
-def trace_counts(spec: AlgebraSpec, m: int, keys: list[MonoKey], d: int) -> list[int]:
-    """Exponent histogram of the degree-d traces of the monomial elements with
-    these keys over w_m: their sum is the sum of counts[e] * w_m^e.  One key
-    gives one element's trace; a group's keys give |G| times the Molien
-    coefficient.
+def trace_counts(spec: AlgebraSpec, m: int, key: MonoKey, d: int) -> list[int]:
+    """Exponent histogram of the degree-d trace of the monomial element with
+    this key over w_m: the trace is the sum of counts[e] * w_m^e.
 
     A diagonal element scales u^i v^(d-i) by w^(e1 i + e2 (d-i)).  An
     antidiagonal one fixes only the line of u^i v^i, d = 2i, which it scales
     by (bc)^i q^(i*i); it is an automorphism only for q = +-1, so q = -1
     exactly when the plane is not commutative."""
     counts = [0] * m
-    i = d // 2
-    sign = i % 2 and not spec.is_commutative  # q^(i*i) = -1
-    for diagonal, e1, e2 in keys:
-        if diagonal:
-            e, step = e2 * d % m, (e1 - e2) % m
-            for _ in range(d + 1):
-                counts[e] += 1
-                e = (e + step) % m
-        elif d % 2 == 0:
-            if sign and m % 2:
-                raise InternalInconsistencyError("antidiagonal elements need an even root order")
-            counts[((e1 + e2) * i + sign * (m // 2)) % m] += 1
+    diagonal, e1, e2 = key
+    if diagonal:
+        e, step = e2 * d % m, (e1 - e2) % m
+        for _ in range(d + 1):
+            counts[e] += 1
+            e = (e + step) % m
+    elif d % 2 == 0:
+        i = d // 2
+        sign = i % 2 and not spec.is_commutative  # q^(i*i) = -1
+        if sign and m % 2:
+            raise InternalInconsistencyError("antidiagonal elements need an even root order")
+        counts[((e1 + e2) * i + sign * (m // 2)) % m] += 1
     return counts
 
 
@@ -458,7 +456,7 @@ def trace_series(spec: AlgebraSpec, g: GradedAut, N: int) -> TruncatedSeries:
             m *= 2  # the trace carries q = -1 = w_(2m)^m
         key = g.mono_key(m)
         return TruncatedSeries(
-            [Cyclo.from_power_counts(m, trace_counts(spec, m, [key], d)) for d in range(N + 1)]
+            [Cyclo.from_power_counts(m, trace_counts(spec, m, key, d)) for d in range(N + 1)]
         )
     coeffs = []
     for d in range(N + 1):

@@ -3,10 +3,12 @@
 Fixed spaces, Molien series and generator walks read the group's exponent
 keys, never its matrices: the diagonal subgroup's character lattice filters
 the monomial basis, and the first antidiagonal key (when present) pins down
-the pairings between u^i v^j and u^j v^i.  Generation is
-verified degree by degree: the span of products of generators must have the
-Molien dimension in every degree up to the bound, which a rank mod p
-certifies and the exact span decides otherwise.
+the pairings between u^i v^j and u^j v^i.  `fixed_space` builds a basis of
+A^G_d with one element per pair, so `molien` counts the pairs, and the
+generator walk stops each degree at that count.  Generation is verified
+degree by degree: the span of products of generators must have the Molien
+dimension in every degree up to the bound, which a rank mod p certifies and
+the exact span decides otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .group_actions import (
     TruncatedSeries,
     enumerate_group,
     is_small_brute,
-    trace_counts,
 )
 from .hj_series import nc_series, typeA_data, typeD_data
 from .linalg import EXACT, PrimeField, SpanBuilder
@@ -49,18 +50,14 @@ def _check_acts(spec: AlgebraSpec, G: GroupSpec) -> None:
             validate_automorphism(spec, g)
 
 
-def fixed_space(spec: AlgebraSpec, G: GroupSpec, d: int) -> list[AlgebraElt]:
-    """Canonical basis of the degree-d fixed subspace (ascending (i,j)-lex pivots).
-
-    u^i v^j is fixed by the diagonal subgroup D when its character number
-    is 0.  An antidiagonal t sends it to w^e u^j v^i, and every other
-    antidiagonal element is t delta with delta in D, so on a D-fixed
-    monomial all of them give the same ratio; t^2 lies in D, so t maps
-    u^j v^i back by w^-e, and u^j v^i is D-fixed too (t normalizes D).
-    """
-    if d < 0:
-        raise ParameterError("degree must be non-negative")
-    _check_acts(spec, G)
+def _fixed_pairs(spec: AlgebraSpec, G: GroupSpec, d: int):
+    """(i, e) for each element of the degree-d fixed basis: u^i v^j, j = d - i,
+    is fixed by the diagonal subgroup D (character number 0), and with an
+    antidiagonal t, t(u^i v^j) = w^e u^j v^i.  Every other antidiagonal
+    element is t delta with delta in D, so all give that ratio on a D-fixed
+    monomial; t^2 lies in D, so t maps u^j v^i back by w^-e, and u^j v^i is
+    D-fixed too (t normalizes D).  So for i < j the pair u^i v^j + w^e u^j v^i
+    is fixed, and u^i v^i is when e = 0; e is None without antidiagonals."""
     a, b, c = G.char_lattice
 
     def d_fixed(i: int) -> bool:
@@ -68,50 +65,50 @@ def fixed_space(spec: AlgebraSpec, G: GroupSpec, d: int) -> list[AlgebraElt]:
 
     anti = next((key for key in G.keys if not key[0]), None)
     if anti is None:
-        return [AlgebraElt.monomial(1, i, d - i) for i in range(d + 1) if d_fixed(i)]
+        yield from ((i, None) for i in range(d + 1) if d_fixed(i))
+        return
     # t.u = w^f2 v and t.v = w^f1 u, so t(u^i v^j) = w^(f2 i + f1 j) q^(ij) u^j v^i,
     # where q = -1 = w^(m/2) when q != 1 (antidiagonal groups have m even)
     m = G.root_order
     _, f1, f2 = anti
     half = 0 if spec.q == 1 else m // 2
-    basis: list[AlgebraElt] = []
     for i in range(d // 2 + 1):
         j = d - i
-        if not d_fixed(i):
-            continue
-        e = (f2 * i + f1 * j + half * (i * j % 2)) % m
-        if i < j:
-            basis.append(AlgebraElt({Monomial(i, j): Cyclo.one(), Monomial(j, i): Cyclo.root(m, e)}))
-        elif e == 0:
-            basis.append(AlgebraElt.monomial(1, i, i))
+        if d_fixed(i):
+            e = (f2 * i + f1 * j + half * (i * j % 2)) % m
+            if i < j or e == 0:
+                yield i, e
+
+
+def fixed_space(spec: AlgebraSpec, G: GroupSpec, d: int) -> list[AlgebraElt]:
+    """Canonical basis of A^G_d (ascending (i,j)-lex pivots), one element per
+    pair of `_fixed_pairs`.  G permutes the monomial lines, so A^G_d is
+    spanned by the group averages of monomials; one that D does not fix
+    averages to 0, and a D-fixed one averages onto its orbit (itself or the
+    pair t swaps), whose fixed elements are the multiples of the one listed.
+    Distinct smallest monomials make the list independent."""
+    if d < 0:
+        raise ParameterError("degree must be non-negative")
+    _check_acts(spec, G)
+    basis: list[AlgebraElt] = []
+    for i, e in _fixed_pairs(spec, G, d):
+        j = d - i
+        terms = {Monomial(i, j): Cyclo.one()}
+        if e is not None and i < j:
+            terms[Monomial(j, i)] = Cyclo.root(G.root_order, e)
+        basis.append(AlgebraElt(terms))
     return basis
 
 
 def molien(spec: AlgebraSpec, G: GroupSpec, N: int) -> TruncatedSeries:
-    """hilb A^G truncated at N: the group average of the trace series.
-
-    The traces are summed as one exponent histogram over w_m per degree and
-    reduced once.  Each average is a dimension, so it must come out an integer
-    (the imaginary parts cancel and |G| divides the total); any other value
-    raises InternalInconsistencyError.
-    """
+    """hilb A^G truncated at N, counted: dim A^G_d is the number of pairs of
+    `_fixed_pairs` in degree d, since `fixed_space` builds one basis element
+    of A^G_d from each.  No root of unity is built; the tests hold it against
+    the group average of the trace series."""
     _check_acts(spec, G)
-    keys = G.keys
-    m = G.root_order
-    coeffs = []
-    for d in range(N + 1):
-        total = Cyclo.from_power_counts(m, trace_counts(spec, m, keys, d))
-        if not total.is_rational():
-            raise InternalInconsistencyError(
-                f"Molien coefficient at degree {d} is not rational"
-            )
-        average = total.rational_value() / len(keys)
-        if average.denominator != 1:
-            raise InternalInconsistencyError(
-                f"Molien coefficient at degree {d} is not an integer: {average}"
-            )
-        coeffs.append(Cyclo.from_rational(average))
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries(
+        [Cyclo.from_rational(sum(1 for _ in _fixed_pairs(spec, G, d))) for d in range(N + 1)]
+    )
 
 
 def reynolds(spec: AlgebraSpec, G: GroupSpec, a: AlgebraElt, normalized: bool = True) -> AlgebraElt:
@@ -215,15 +212,19 @@ def _degree_cols(elt: AlgebraElt) -> dict[int, Cyclo]:
     return {mon.i: c for mon, c in elt.terms.items()}
 
 
-def _add_products(rule, spans: list[SpanBuilder], gens: list[tuple[dict, int]], d: int) -> None:
+def _add_products(rule, spans: list[SpanBuilder], gens: list[tuple[dict, int]], d: int,
+                  bound: int | None = None) -> None:
     """Add to spans[d] the products b * g, for (g, e) in gens with e <= d and b
-    in spans[d - e]; g is a term map over the spans' field and `rule` is the
-    plane's `reorder_rule` over that field."""
+    in spans[d - e], stopping once its rank reaches `bound` when one is given;
+    g is a term map over the spans' field and `rule` is the plane's
+    `reorder_rule` over that field."""
     field = spans[d].field
     for g, e in gens:
         if e > d:
             continue
         for row in spans[d - e].basis():
+            if spans[d].rank == bound:
+                return
             prod = mul_terms(rule, {(i, d - e - i): c for i, c in row.items()}, g, field)
             if prod:
                 spans[d].add({mon.i: c for mon, c in prod.items()})
@@ -296,29 +297,30 @@ def verify_generation(
 
 def _brute_force_generators(spec: AlgebraSpec, G: GroupSpec) -> list[AlgebraElt]:
     """Deterministic degree-walk extraction: add fixed-space elements outside the
-    current subalgebra span, in increasing degree and (i,j)-lex order."""
-    order = len(G.keys)
-    cap = max(2 * order, 8)
-    hard_cap = 4 * order + 16
+    current subalgebra span, in increasing degree and (i,j)-lex order.
+
+    Products of invariants are invariant, so spans[d] lies in A^G_d; once its
+    rank is the Molien count it is all of A^G_d, so no further product or
+    fixed element can raise it, and each degree stops there."""
+    cap = max(2 * len(G.keys), 8)
+    target = molien(spec, G, cap).integer_coeffs()
     rule = reorder_rule(spec)
-    while True:
-        gens: list[AlgebraElt] = []
-        spans = [SpanBuilder() for _ in range(cap + 1)]
-        spans[0].add({0: Cyclo.one()})
-        for d in range(1, cap + 1):
-            _add_products(rule, spans, [(g.terms, g.degree()) for g in gens], d)
+    gens: list[AlgebraElt] = []
+    spans = [SpanBuilder() for _ in range(cap + 1)]
+    spans[0].add({0: Cyclo.one()})
+    for d in range(1, cap + 1):
+        _add_products(rule, spans, [(g.terms, g.degree()) for g in gens], d, target[d])
+        if spans[d].rank < target[d]:
             for vec in fixed_space(spec, G, d):
                 if spans[d].add(_degree_cols(vec)):
                     gens.append(vec)
-        # safety window: spans must already match Molien through the cap
-        target = molien(spec, G, cap).integer_coeffs()
-        if all(spans[d].rank == target[d] for d in range(cap + 1)):
-            return gens
-        if cap >= hard_cap:
+                    if spans[d].rank == target[d]:
+                        break
+        if spans[d].rank != target[d]:
             raise InternalInconsistencyError(
-                f"generator extraction did not stabilize by degree {cap} for {G.describe()}"
+                f"generator extraction falls short of Molien at degree {d} for {G.describe()}"
             )
-        cap = min(2 * cap, hard_cap)
+    return gens
 
 
 # ---------------------------------------------------------------------------

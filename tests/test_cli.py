@@ -195,12 +195,14 @@ def test_verify_pres_stdout_unchanged(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# stdout digests recorded at the commits before three changes, which must
+# stdout digests recorded at the commits before four changes, which must
 # reproduce them byte for byte: group products that keep their exponent form
 # (the first nine), roots of unity built once per order by one reduction
 # modulo Phi_m, with the smash-product index keyed by exponents (up to
 # auslander53), and fixed spaces read from each group's exponent keys (the
-# last two, which take the brute-force generator walk)
+# next two, which take the brute-force generator walk); the last three were
+# recorded with the Molien series as a group average of traces and the
+# generator walk run to the end of every degree
 QM1_GNK = ("--algebra", "qminus1", "--group", "gnk")
 MONOMIAL_CORE_DIGESTS = [
     (
@@ -257,6 +259,15 @@ MONOMIAL_CORE_DIGESTS = [
         "f482e07ef7bb3b04b46a1f6c9a4a4591af1c381fa719a5a63a639082d4a3e1d4",
     ),
     (("theta", "4", "3", "--N", "40"), "bb0423ded985376e9dddf4ee8645dec53a0a7bf99acede7b47b282bf26ea944d"),
+    (
+        ("molien", *QM1_GNK, "29", "23", "--N", "200"),
+        "b3b6b253778ebabd5392c2c78c7e7063f1aef251a1286635a765379f6521da56",
+    ),
+    (("theta", "1", "12", "--N", "40"), "99ca0bf16526ae76238deefba86172493c048c85036ebcecb4dad9d5325dac72"),
+    (
+        ("generators", *QM1_GNK, "4", "3", "--verify", "40"),
+        "b2c2cced8cabf622182ff53df81f4c632c380d26e521a176b11f020406945217",
+    ),
 ]
 
 
@@ -266,7 +277,8 @@ MONOMIAL_CORE_DIGESTS = [
     ids=["trace53_g2h", "trace53_h3", "trace42_ghg", "trace42_g4h2", "molien_comm6_5",
          "theta34", "generators21", "classify64", "gh53", "classify29_23", "classify30_24",
          "molien_q7_cyclic9_4", "molien_gnk87", "trace75_gh3", "present_quantum7_3",
-         "auslander53", "generators43", "theta43"],
+         "auslander53", "generators43", "theta43", "molien_gnk29_23", "theta1_12",
+         "generators43_40"],
 )
 def test_monomial_core_stdout_unchanged(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)

@@ -1,11 +1,19 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from skewinv import invariants
+from skewinv import group_actions, invariants, scalars
 from skewinv.errors import InternalInconsistencyError, ParameterError
-from skewinv.group_actions import GroupSpec, RationalFunction, enumerate_group
+from skewinv.group_actions import (
+    GroupSpec,
+    RationalFunction,
+    TruncatedSeries,
+    enumerate_group,
+    is_small_brute,
+)
 from skewinv.invariants import (
     GeneratorSet,
     eta_map,
@@ -20,7 +28,7 @@ from skewinv.invariants import (
     theta_map,
     verify_generation,
 )
-from skewinv.linalg import PrimeField
+from skewinv.linalg import PrimeField, SpanBuilder
 from skewinv.scalars import Cyclo
 from skewinv.skew_algebra import AlgebraElt, AlgebraSpec, Monomial, mul, power, to_text
 
@@ -137,15 +145,52 @@ def test_molien_counting_agrees_with_generic_sum():
         assert all((a - b).is_zero() for a, b in zip(fast.coeffs, slow))
 
 
+def molien_by_traces(spec, G, N):
+    """Oracle: hilb A^G as the group average of the trace series.  The traces
+    of each degree are summed as one exponent histogram over w_m and reduced
+    once; each average is a dimension, so it must come out an integer (the
+    imaginary parts cancel and |G| divides the total)."""
+    m = G.root_order
+    coeffs = []
+    for d in range(N + 1):
+        traces = (group_actions.trace_counts(spec, m, key, d) for key in G.keys)
+        counts = list(map(sum, zip(*traces)))
+        total = Cyclo.from_power_counts(m, counts)
+        if not total.is_rational():
+            raise InternalInconsistencyError(f"Molien coefficient at degree {d} is not rational")
+        average = total.rational_value() / len(G.keys)
+        if average.denominator != 1:
+            raise InternalInconsistencyError(
+                f"Molien coefficient at degree {d} is not an integer: {average}"
+            )
+        coeffs.append(Cyclo.from_rational(average))
+    return TruncatedSeries(coeffs)
+
+
 def test_molien_rejects_an_average_that_is_not_an_integer(monkeypatch):
     G = GroupSpec.gnk(3, 2)
+    first = G.keys[0]
     # a total of 1 over |G| = 12 elements, then a total of w_m
-    monkeypatch.setattr(invariants, "trace_counts", lambda spec, m, keys, d: [1])
+    monkeypatch.setattr(group_actions, "trace_counts", lambda spec, m, key, d: [int(key == first)])
     with pytest.raises(InternalInconsistencyError, match="not an integer"):
-        molien(G.ambient, G, 2)
-    monkeypatch.setattr(invariants, "trace_counts", lambda spec, m, keys, d: [0, 1])
+        molien_by_traces(G.ambient, G, 2)
+    monkeypatch.setattr(group_actions, "trace_counts", lambda spec, m, key, d: [0, int(key == first)])
     with pytest.raises(InternalInconsistencyError, match="not rational"):
-        molien(G.ambient, G, 2)
+        molien_by_traces(G.ambient, G, 2)
+
+
+def test_molien_counting_matches_trace_average_grid():
+    # G_{n,k} with n, k <= 12, 1/n(1,a) on q = w3, w5, w7 for n <= 9, Jordan
+    # 1/n(1,1) for n <= 7 and D_{m,q} on the commutative plane for m <= 13
+    groups = [GroupSpec.gnk(n, k) for n in range(1, 13) for k in range(1, 13)]
+    for m in (3, 5, 7):
+        spec = AlgebraSpec.quantum(Cyclo.root(m))
+        groups += [GroupSpec.cyclic(n, a, spec) for n in range(2, 10) for a in range(1, n)]
+    groups += [GroupSpec.cyclic(n, 1, JORDAN) for n in range(2, 8)]
+    groups += [GroupSpec.dihedral(m, q) for m in range(3, 14) for q in range(2, m) if gcd(m, q) == 1]
+    assert len(groups) == 303
+    for G in groups:
+        assert molien(G.ambient, G, 60) == molien_by_traces(G.ambient, G, 60), G
 
 
 @pytest.mark.parametrize(
@@ -169,12 +214,76 @@ def test_molien_rejects_an_average_that_is_not_an_integer(monkeypatch):
     ],
 )
 def test_molien_equals_fixed_space_dims(G):
-    # group orders up to 60, compared degreewise through N = 30
+    # group orders up to 60, compared degreewise through N = 30 with the
+    # fixed space read from every element's matrix entries
     N = 30
     assert len(enumerate_group(G)) <= 60
     series = molien(G.ambient, G, N).integer_coeffs()
     for d in range(N + 1):
-        assert len(fixed_space(G.ambient, G, d)) == series[d]
+        assert len(fixed_space_by_elements(G.ambient, G, d)) == series[d]
+
+
+def test_molien_builds_no_root_table(monkeypatch):
+    calls = []
+
+    def spy(name, f):
+        def wrapped(*args):
+            calls.append(name)
+            return f(*args)
+
+        return wrapped
+
+    for module in (group_actions, invariants):
+        monkeypatch.setattr(module, "trace_counts", spy("trace_counts", group_actions.trace_counts), raising=False)
+    monkeypatch.setattr(scalars, "_roots", spy("_roots", scalars._roots))
+    monkeypatch.setattr(Cyclo, "root", staticmethod(spy("root", Cyclo.root)))
+    monkeypatch.setattr(
+        Cyclo, "from_power_counts", staticmethod(spy("from_power_counts", Cyclo.from_power_counts))
+    )
+    G = GroupSpec.gnk(29, 23)
+    series = molien(G.ambient, G, 200).integer_coeffs()
+    assert calls == []
+    assert series[:93] == [1] + [0] * 68 + [1] + [0] * 22 + [2]
+
+
+# the small G_{n,k} with gcd 1, n or k even and nk <= 24, which generator_set
+# sends to the brute-force walk; the digest of their generators' to_text
+# lists was recorded before the walk stopped each degree at its count
+BRUTE_FORCE_GNK = [
+    (n, k)
+    for n in range(1, 25)
+    for k in range(1, 25)
+    if n * k <= 24 and gcd(n, k) == 1 and (n % 2 == 0 or k % 2 == 0)
+    and is_small_brute(GroupSpec.gnk(n, k))
+]
+BRUTE_FORCE_DIGEST = "e6574007c7ebe15ebd8ee2ca2c5323f7a8283ccbd85872889239f34324db4bb6"
+
+
+def test_brute_force_generators_unchanged():
+    texts = {}
+    for n, k in BRUTE_FORCE_GNK:
+        G = GroupSpec.gnk(n, k)
+        texts[f"{n},{k}"] = [to_text(g) for g in invariants._brute_force_generators(G.ambient, G)]
+    blob = json.dumps(texts, sort_keys=True).encode()
+    assert len(BRUTE_FORCE_GNK) == 29
+    assert hashlib.sha256(blob).hexdigest() == BRUTE_FORCE_DIGEST
+
+
+def test_brute_force_walk_stops_each_degree_at_its_count(monkeypatch):
+    adds = []
+    plain_add = SpanBuilder.add
+
+    def counted_add(self, vec):
+        adds.append(1)
+        return plain_add(self, vec)
+
+    monkeypatch.setattr(SpanBuilder, "add", counted_add)
+    G = GroupSpec.gnk(4, 3)
+    gens = invariants._brute_force_generators(QM1, G)
+    # without the stop at the Molien count, every product and fixed vector
+    # is added: 199 calls
+    assert len(adds) <= 60
+    assert sorted(g.degree() for g in gens) == [6, 12, 12, 12]
 
 
 def test_thm_812_auxiliary_identity():
