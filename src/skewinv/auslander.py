@@ -35,7 +35,7 @@ from .errors import ParameterError
 from .group_actions import Gnk, GroupSpec, enumerate_group, gnk_keys, mono_mul
 from .linalg import SpanBuilder
 from .scalars import Cyclo
-from .skew_algebra import AlgebraElt, AlgebraSpec, apply_aut, mul
+from .skew_algebra import AlgebraElt, AlgebraSpec, apply_aut, monomial_action, mul
 
 # ---------------------------------------------------------------------------
 # smash product arithmetic
@@ -285,13 +285,13 @@ def _ideal_dims_characters(spec: AlgebraSpec, ctx: SmashContext, N: int):
                 chars.append(bits)
             yield sum(bits.bit_count() for bits in chars)
         return
-    # exponents over w_(2m): t.u = w^f2 v, t.v = w^f1 u and q = w^qe with q = +-1
-    f1, f2 = 2 * anti[1], 2 * anti[2]
-    qe = 0 if spec.q.is_one() else m
+    # t.(u^p v^r) = w^(ea p + eb r + ec p r) u^r v^p and q = w^ec, over w_m
+    # with m even, so -1 = w^(m/2)
+    _, ea, eb, ec = monomial_action(spec, m, anti)
     nchar = a * c
     for d in range(N + 1):
         ambient = 2 * nchar * (d + 1)
-        dsu = _RatioDSU(ambient, 2 * m)
+        dsu = _RatioDSU(ambient, m)
         for p2 in range(d + 1):
             for r2 in range(d + 1 - p2):
                 if dsu.rank == ambient:
@@ -299,10 +299,10 @@ def _ideal_dims_characters(spec: AlgebraSpec, ctx: SmashContext, N: int):
                 d1 = d - p2 - r2
                 nA = (p2 % a) * c + (r2 - p2 // a * b) % c + p2 * nchar
                 nB = (r2 % a) * c + (p2 - r2 // a * b) % c + r2 * nchar
-                e0 = f2 * p2 + f1 * r2 + qe * p2 * r2 + m
+                e0 = ea * p2 + eb * r2 + ec * p2 * r2 + m // 2
                 for p1 in range(d1 + 1):
                     # x = u^p1 v^r1 gives e_A - w^e e_B at the nodes of xy and xy'
-                    e = e0 + qe * (d1 - p1) * (r2 - p2)
+                    e = e0 + ec * (d1 - p1) * (r2 - p2)
                     shift = p1 * nchar
                     dsu.union(2 * (nA + shift), 2 * (nB + shift) + 1, e)
         yield dsu.rank

@@ -145,7 +145,7 @@ def _parse_element(G: GroupSpec, text: str) -> GradedAut:
         else:
             name, power = token, 1
         if name not in names:
-            raise ValueError(f"unknown generator {name!r} (use g or h)")
+            raise ValueError(f"unknown generator {name!r} (use {' or '.join(names)})")
         if power < 0:
             raise ValueError("use non-negative powers")
         # g^(2m) = 1 for every generator over w_m: a diagonal one has order

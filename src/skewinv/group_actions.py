@@ -8,14 +8,14 @@ is provided for the correspondence checks.
 
 Every group a `GroupSpec` builds is made of monomial matrices with entries
 w^e, so it is enumerated once, as the exponent keys (is_diagonal, e1, e2)
-over w_m in `GroupSpec.keys`.  Exponent arithmetic has one home here:
+over w_m in `GroupSpec.keys`.  Exponent arithmetic has one home:
+`skew_algebra.monomial_action` is how a key acts on u^i v^j, and here
 `mono_mul` is the product rule, `trace_counts` the degree-d trace as an
 exponent histogram, `char_lattice` the characters of the diagonal subgroup,
-and one rule each decides quasi-reflections and hdet.  Order, smallness,
-hdet triviality, Molien series and fixed spaces read the keys;
-`enumerate_group` builds matrices only where one is applied to the algebra.
-The matrix entries remain the general path for user matrices and the tests'
-oracle.
+and one rule each decides quasi-reflections and hdet.  Order, smallness, hdet
+triviality, Molien series and fixed spaces read the keys; `enumerate_group`
+builds matrices only where one is applied to the algebra.  The matrix
+entries remain the general path for user matrices and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
     ParameterError,
 )
 from .scalars import Cyclo, euler_phi, lcm
-from .skew_algebra import AlgebraElt, AlgebraSpec, Mat2, Monomial, apply_aut
+from .skew_algebra import AlgebraElt, AlgebraSpec, Mat2, apply_aut, monomial_action
 from .skew_algebra import relation_image_scalar, validate_automorphism
 
 
@@ -68,9 +68,9 @@ class GradedAut(Mat2):
     fixed root of unity, `mono` holds (order, e1, e2) with entries w^e1, w^e2
     (diagonal: positions (a, d); antidiagonal: (b, c)).  Every element of a
     `GroupSpec` carries it, and products of two such elements keep it (at the
-    lcm order, by `mono_mul`).  It sends the trace, quasi-reflection test and
-    hdet of a single element to the exponent rules; it never changes semantics.
-    Matrices built without `mono` take the general Mat2 paths.
+    lcm order, by `mono_mul`).  Through `exponent_key` it sends `apply_aut`,
+    the trace, the quasi-reflection test and hdet to the exponent rules; it
+    never changes semantics.  Matrices without it take the general paths.
     """
 
     __slots__ = ("shape", "mono")
@@ -112,6 +112,17 @@ class GradedAut(Mat2):
         mm, e1, e2 = self.mono
         s = m // mm
         return (self.shape == "diagonal", e1 * s % m, e2 * s % m)
+
+    def exponent_key(self) -> tuple[int, MonoKey] | None:
+        """(m, key) with the key over w_m, or None without `mono`.  An
+        antidiagonal element of odd order m is read over w_(2m), so that
+        q = -1 = w_(2m)^m is a power of the root (`monomial_action`)."""
+        if self.mono is None:
+            return None
+        m = self.mono[0]
+        if m % 2 and self.shape == "antidiagonal":
+            m *= 2
+        return m, self.mono_key(m)
 
     @staticmethod
     def from_key(m: int, key: MonoKey) -> "GradedAut":
@@ -305,11 +316,6 @@ def enumerate_group(G: GroupSpec) -> list[GradedAut]:
     return [GradedAut.from_key(m, key) for key in G.keys]
 
 
-def gnk_is_degenerate(n: int, k: int) -> bool:
-    """True when the (i, j)-indexed element list of G_{n,k} contains duplicates."""
-    return len(GroupSpec.gnk(n, k).keys) < 2 * n * k
-
-
 # ---------------------------------------------------------------------------
 # series types
 # ---------------------------------------------------------------------------
@@ -427,34 +433,29 @@ def trace_counts(spec: AlgebraSpec, m: int, key: MonoKey, d: int) -> list[int]:
     """Exponent histogram of the degree-d trace of the monomial element with
     this key over w_m: the trace is the sum of counts[e] * w_m^e.
 
-    A diagonal element scales u^i v^(d-i) by w^(e1 i + e2 (d-i)).  An
-    antidiagonal one fixes only the line of u^i v^i, d = 2i, which it scales
-    by (bc)^i q^(i*i); it is an automorphism only for q = +-1, so q = -1
-    exactly when the plane is not commutative."""
+    By `monomial_action`, an element that keeps monomials scales
+    u^i v^(d-i) by w^(a i + b (d-i)), one step of a - b per i.  One that
+    swaps them fixes only the line of u^i v^i, d = 2i, which it scales by
+    w^((a + b) i + c i i)."""
     counts = [0] * m
-    diagonal, e1, e2 = key
-    if diagonal:
-        e, step = e2 * d % m, (e1 - e2) % m
+    swap, a, b, c = monomial_action(spec, m, key)
+    if not swap:
+        e, step = b * d % m, (a - b) % m
         for _ in range(d + 1):
             counts[e] += 1
             e = (e + step) % m
     elif d % 2 == 0:
         i = d // 2
-        sign = i % 2 and not spec.is_commutative  # q^(i*i) = -1
-        if sign and m % 2:
-            raise InternalInconsistencyError("antidiagonal elements need an even root order")
-        counts[((e1 + e2) * i + sign * (m // 2)) % m] += 1
+        counts[((a + b) * i + c * i * i) % m] += 1
     return counts
 
 
 def trace_series(spec: AlgebraSpec, g: GradedAut, N: int) -> TruncatedSeries:
     """Trace by acting on the monomial basis of each degree and summing diagonals."""
     validate_automorphism(spec, g)
-    if g.mono is not None:
-        m = g.mono[0]
-        if m % 2 and g.shape == "antidiagonal" and spec.q == -1:
-            m *= 2  # the trace carries q = -1 = w_(2m)^m
-        key = g.mono_key(m)
+    mk = g.exponent_key()
+    if mk is not None:
+        m, key = mk
         return TruncatedSeries(
             [Cyclo.from_power_counts(m, trace_counts(spec, m, key, d)) for d in range(N + 1)]
         )
@@ -462,9 +463,8 @@ def trace_series(spec: AlgebraSpec, g: GradedAut, N: int) -> TruncatedSeries:
     for d in range(N + 1):
         total = Cyclo.zero()
         for i in range(d + 1):
-            mon = Monomial(i, d - i)
             img = apply_aut(spec, g, AlgebraElt.monomial(1, i, d - i), checked=False)
-            total = total + img.terms.get(mon, Cyclo.zero())
+            total = total + img.coefficient(i, d - i)
         coeffs.append(total)
     return TruncatedSeries(coeffs)
 
@@ -514,60 +514,52 @@ def _check_finite_order(spec: AlgebraSpec, g: GradedAut) -> None:
 
 
 def _quasi_reflection_rule(spec: AlgebraSpec, m: int, key: MonoKey) -> bool:
-    """Quasi-reflection test for the monomial element with this key over w_m.
-
-    A diagonal element is one when exactly one entry is 1.  An antidiagonal
-    one acts only on q = +-1, and is one when bc = -1 (q = -1) or bc = 1
-    (q = 1).  On the Jordan plane a group holds only scalars, never one."""
-    diagonal, e1, e2 = key
-    if diagonal:
-        return (e1 % m == 0) != (e2 % m == 0)
-    if spec.q == -1:
-        return m % 2 == 0 and (e1 + e2) % m == m // 2
-    return (e1 + e2) % m == 0
+    """Quasi-reflection test for the monomial element with this key over w_m,
+    by its `monomial_action` (swap, a, b, c): a diagonal element is one when
+    it fixes exactly one of u, v, and an antidiagonal one when it fixes uv,
+    w^(a + b + c) = 1 (bc = -1 on q = -1, bc = 1 on q = 1).  On the Jordan
+    plane a group holds only scalars, never one."""
+    swap, a, b, c = monomial_action(spec, m, key)
+    if swap:
+        return (a + b + c) % m == 0
+    return (a % m == 0) != (b % m == 0)
 
 
 def _hdet_rule(spec: AlgebraSpec, m: int, key: MonoKey) -> tuple[int, int]:
     """(s, e) with hdet = s * w_m^e for the monomial element with this key:
-    ad for a diagonal element, bc for an antidiagonal one on q = -1 and
-    det = -bc on q = 1."""
-    diagonal, e1, e2 = key
-    return (1 if diagonal or spec.q == -1 else -1), (e1 + e2) % m
-
-
-def _key_rules_apply(spec: AlgebraSpec, g: GradedAut) -> bool:
-    """The key rules decide g: a monomial automorphism of a quantum plane."""
-    return g.mono is not None and spec.is_quantum and (
-        g.shape == "diagonal" or spec.q == -1 or spec.is_commutative
-    )
+    by its `monomial_action`, g sends vu - q uv to w^(a + b) (vu - q uv), or
+    when it swaps to w^(a + b) (uv - q vu) = -w^(a + b + c) (vu - q uv); and
+    -w^c = 1 when c = m/2 (q = -1)."""
+    swap, a, b, c = monomial_action(spec, m, key)
+    return (-1 if swap and not c else 1), (a + b) % m
 
 
 def is_quasi_reflection(spec: AlgebraSpec, g: GradedAut) -> bool:
-    """Closed-form rule, cross-checked in the tests against a trace-series oracle."""
-    if _key_rules_apply(spec, g):
-        return _quasi_reflection_rule(spec, g.mono[0], g.mono_key(g.mono[0]))
+    """Closed-form rule, cross-checked in the tests against a trace-series
+    oracle; the key rule decides an element with an exponent key on a
+    quantum plane (`monomial_action` rejects antidiagonal keys off q = +-1)."""
+    mk = g.exponent_key()
+    if mk is not None and spec.is_quantum:
+        return _quasi_reflection_rule(spec, *mk)
     validate_automorphism(spec, g)
     _check_finite_order(spec, g)
     if spec.kind == "jordan":
         return False
     if g.shape == "diagonal":
         return (g.a.is_one()) != (g.d.is_one())
-    if g.shape == "antidiagonal":
-        if spec.q == -1:
-            return g.b * g.c == -1
-        if spec.is_commutative:
-            return g.b * g.c == 1
-        raise InvalidAutomorphismError("antidiagonal maps need q = -1 or q = 1")
-    # general shape, commutative plane: quasi-reflection iff exactly one eigenvalue is 1
+    if g.shape == "antidiagonal" and spec.q == -1:
+        return g.b * g.c == -1
+    # commutative plane: quasi-reflection iff exactly one eigenvalue is 1
     return (Cyclo.one() - (g.a + g.d) + g.det()).is_zero() and not g.det().is_one()
 
 
 def hdet(spec: AlgebraSpec, g: GradedAut) -> Cyclo:
-    """Homological determinant: the scalar by which g acts on the relation line."""
-    if _key_rules_apply(spec, g):
-        m = g.mono[0]
-        sign, e = _hdet_rule(spec, m, g.mono_key(m))
-        return sign * Cyclo.root(m, e)
+    """Homological determinant: the scalar by which g acts on the relation line
+    (the key rule for an element with an exponent key on a quantum plane)."""
+    mk = g.exponent_key()
+    if mk is not None and spec.is_quantum:
+        sign, e = _hdet_rule(spec, *mk)
+        return sign * Cyclo.root(mk[0], e)
     lam = relation_image_scalar(spec, g)
     if lam is None:
         raise InvalidAutomorphismError(

@@ -34,6 +34,7 @@ from .skew_algebra import (
     AlgebraSpec,
     Monomial,
     apply_aut,
+    monomial_action,
     mul,
     mul_terms,
     power,
@@ -53,11 +54,12 @@ def _check_acts(spec: AlgebraSpec, G: GroupSpec) -> None:
 def _fixed_pairs(spec: AlgebraSpec, G: GroupSpec, d: int):
     """(i, e) for each element of the degree-d fixed basis: u^i v^j, j = d - i,
     is fixed by the diagonal subgroup D (character number 0), and with an
-    antidiagonal t, t(u^i v^j) = w^e u^j v^i.  Every other antidiagonal
-    element is t delta with delta in D, so all give that ratio on a D-fixed
-    monomial; t^2 lies in D, so t maps u^j v^i back by w^-e, and u^j v^i is
-    D-fixed too (t normalizes D).  So for i < j the pair u^i v^j + w^e u^j v^i
-    is fixed, and u^i v^i is when e = 0; e is None without antidiagonals."""
+    antidiagonal t, t(u^i v^j) = w^e u^j v^i by `monomial_action` over
+    w_root_order.  Every other antidiagonal element is t delta with delta in
+    D, so all give that ratio on a D-fixed monomial; t^2 lies in D, so t maps
+    u^j v^i back by w^-e, and u^j v^i is D-fixed too (t normalizes D).  So for
+    i < j the pair u^i v^j + w^e u^j v^i is fixed, and u^i v^i is when e = 0;
+    e is None without antidiagonals."""
     a, b, c = G.char_lattice
 
     def d_fixed(i: int) -> bool:
@@ -67,15 +69,12 @@ def _fixed_pairs(spec: AlgebraSpec, G: GroupSpec, d: int):
     if anti is None:
         yield from ((i, None) for i in range(d + 1) if d_fixed(i))
         return
-    # t.u = w^f2 v and t.v = w^f1 u, so t(u^i v^j) = w^(f2 i + f1 j) q^(ij) u^j v^i,
-    # where q = -1 = w^(m/2) when q != 1 (antidiagonal groups have m even)
     m = G.root_order
-    _, f1, f2 = anti
-    half = 0 if spec.q == 1 else m // 2
+    _, ea, eb, ec = monomial_action(spec, m, anti)
     for i in range(d // 2 + 1):
         j = d - i
         if d_fixed(i):
-            e = (f2 * i + f1 * j + half * (i * j % 2)) % m
+            e = (ea * i + eb * j + ec * i * j) % m
             if i < j or e == 0:
                 yield i, e
 

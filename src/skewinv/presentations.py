@@ -51,14 +51,14 @@ class Presentation:
             terms = [(c, w) for c, w in terms if not c.is_zero()]
             if not terms:
                 raise ParameterError("empty relation")
+            for _, w in terms:
+                if any(not (0 <= i < len(self.gen_degrees)) for i in w):
+                    raise ParameterError(f"word {w} uses an undefined generator")
             degs = {self.word_degree(w) for _, w in terms}
             if len(degs) != 1:
                 raise ParameterError(f"relation is not homogeneous: degrees {sorted(degs)}")
             if 0 in {len(w) for _, w in terms}:
                 raise ParameterError("relations must not contain the empty word")
-            for _, w in terms:
-                if any(not (0 <= i < len(self.gen_degrees)) for i in w):
-                    raise ParameterError(f"word {w} uses an undefined generator")
             cleaned.append(terms)
         self.relations = cleaned
 

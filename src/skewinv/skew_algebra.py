@@ -129,7 +129,7 @@ def to_text(elt: AlgebraElt) -> str:
 class AlgebraSpec:
     """Which plane we work in; q is kept exactly as a cyclotomic scalar."""
 
-    __slots__ = ("kind", "q", "_rule")
+    __slots__ = ("kind", "q", "_rule", "_unit_q")
 
     def __init__(self, kind: str, q: Cyclo | None = None):
         if kind not in ("quantum", "jordan"):
@@ -146,6 +146,8 @@ class AlgebraSpec:
         self.kind = kind
         self.q = q
         self._rule = None
+        # q as the integer 1 or -1 when q = +-1, else None (`monomial_action`)
+        self._unit_q = next((s for s in (1, -1) if q is not None and q == s), None)
 
     @staticmethod
     def quantum(q) -> "AlgebraSpec":
@@ -295,11 +297,9 @@ class Mat2:
     def key_at(self, m: int) -> tuple:
         return tuple(x.key_at(m) for x in self.entries())
 
-    def is_diagonal(self) -> bool:
-        return self.b.is_zero() and self.c.is_zero()
-
-    def is_antidiagonal(self) -> bool:
-        return self.a.is_zero() and self.d.is_zero()
+    def exponent_key(self) -> None:
+        """A plain matrix has no exponent key (see `GradedAut.exponent_key`)."""
+        return None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat2):
@@ -376,45 +376,53 @@ def _shape_hint(spec: AlgebraSpec) -> str:
     return "valid maps are diagonal when q != +-1"
 
 
+def monomial_action(spec: AlgebraSpec, m: int, key: tuple) -> tuple[bool, int, int, int]:
+    """(swap, a, b, c): the monomial element with exponent key (is_diagonal,
+    e1, e2) over w_m sends u^i v^j to w_m^(a i + b j + c i j) times u^j v^i
+    when swap, else times u^i v^j.  The one statement of this action.
+
+    diag(w^e1, w^e2) gives (False, e1, e2, 0).  antidiag(b = w^e1, c = w^e2)
+    sends u -> w^e2 v, v -> w^e1 u and u^i v^j -> w^(e2 i + e1 j) v^i u^j =
+    w^(e2 i + e1 j) q^(ij) u^j v^i.  It acts only for q = +-1, where
+    q = w_m^c with c = 0 or m/2 (m even), so c i j = c (i j mod 2) mod m."""
+    diagonal, e1, e2 = key
+    if diagonal:
+        return False, e1, e2, 0
+    if spec._unit_q is None:
+        raise InvalidAutomorphismError(
+            f"antidiagonal maps do not act on {spec.describe()}: " + _shape_hint(spec)
+        )
+    if spec._unit_q == 1:
+        return True, e2, e1, 0
+    if m % 2:
+        raise ParameterError(f"q = -1 is not a power of w_{m}; read the key over w_{2 * m}")
+    return True, e2, e1, m // 2
+
+
 def apply_aut(spec: AlgebraSpec, M: Mat2, elt: AlgebraElt, checked: bool = True) -> AlgebraElt:
-    """Apply the graded automorphism M to elt (substitute, expand, normalize)."""
+    """Apply the graded automorphism M to elt.  An element with an exponent
+    key (`GradedAut.exponent_key`) maps each term by `monomial_action`; any
+    other matrix substitutes u -> a u + c v, v -> b u + d v, expands and
+    normalizes, which is the reference the tests hold the key path against."""
     if checked:
         validate_automorphism(spec, M)
-    a, b, c, d = M.entries()
-    if M.is_diagonal():
+    mk = M.exponent_key()
+    if mk is not None:
+        m, key = mk
+        swap, ea, eb, ec = monomial_action(spec, m, key)
         out = AlgebraElt()
-        pow_cache: dict[tuple[int, int], Cyclo] = {}
         for (i, j), coeff in elt.terms.items():
-            key = (i, j)
-            s = pow_cache.get(key)
-            if s is None:
-                s = pow_cache[key] = (a ** i) * (d ** j)
-            out.terms[Monomial(i, j)] = coeff * s
+            mon = Monomial(j, i) if swap else Monomial(i, j)
+            out.terms[mon] = coeff * Cyclo.root(m, ea * i + eb * j + ec * i * j)
         return out
-    if M.is_antidiagonal():
-        # u -> c v, v -> b u: u^i v^j -> c^i b^j * v^i u^j, then reorder
-        res = AlgebraElt.zero()
-        for (i, j), coeff in elt.terms.items():
-            res = res + reorder(spec, i, j).scale(coeff * (c ** i) * (b ** j))
-        return res
+    a, b, c, d = M.entries()
     img_u = AlgebraElt({Monomial(1, 0): a, Monomial(0, 1): c})
     img_v = AlgebraElt({Monomial(1, 0): b, Monomial(0, 1): d})
+    pows_u, pows_v = [AlgebraElt.one()], [AlgebraElt.one()]
+    for _ in range(elt.degree()):
+        pows_u.append(mul(spec, pows_u[-1], img_u))
+        pows_v.append(mul(spec, pows_v[-1], img_v))
     res = AlgebraElt.zero()
-    pows_u: dict[int, AlgebraElt] = {0: AlgebraElt.one()}
-    pows_v: dict[int, AlgebraElt] = {0: AlgebraElt.one()}
-
-    def upow(n: int) -> AlgebraElt:
-        while n not in pows_u:
-            k = max(pows_u)
-            pows_u[k + 1] = mul(spec, pows_u[k], img_u)
-        return pows_u[n]
-
-    def vpow(n: int) -> AlgebraElt:
-        while n not in pows_v:
-            k = max(pows_v)
-            pows_v[k + 1] = mul(spec, pows_v[k], img_v)
-        return pows_v[n]
-
     for (i, j), coeff in elt.terms.items():
-        res = res + mul(spec, upow(i), vpow(j)).scale(coeff)
+        res = res + mul(spec, pows_u[i], pows_v[j]).scale(coeff)
     return res

@@ -120,6 +120,14 @@ def test_trace_element(capsys):
     payload = json.loads(out)
     assert payload["series"] == ["1", "0", "-1", "0", "1", "0", "-1", "0", "1"]
     assert "closed_form" in payload
+    # a cyclic group has only g, and the hint names only the generators it has
+    code, out, err = run_cli(
+        capsys, "trace", "--algebra", "jordan", "--group", "cyclic", "3", "1", "--element", "h"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: unknown generator 'h' (use g)\n"
+    code, _, err = run_cli(capsys, "trace", *QM1_GNK, "3", "1", "--element", "x")
+    assert code == 1 and err == "error: unknown generator 'x' (use g or h)\n"
 
 
 def test_trace_element_huge_power(capsys):
@@ -200,9 +208,12 @@ def test_verify_pres_stdout_unchanged(capsys, argv, digest):
 # (the first nine), roots of unity built once per order by one reduction
 # modulo Phi_m, with the smash-product index keyed by exponents (up to
 # auslander53), and fixed spaces read from each group's exponent keys (the
-# next two, which take the brute-force generator walk); the last three were
+# next two, which take the brute-force generator walk); the next three were
 # recorded with the Molien series as a group average of traces and the
-# generator walk run to the end of every degree
+# generator walk run to the end of every degree; the last two with separate
+# diagonal and antidiagonal matrix branches in apply_aut and the traces (the
+# generic span through smash twists on the Jordan plane, and an antidiagonal
+# word with e1 != e2)
 QM1_GNK = ("--algebra", "qminus1", "--group", "gnk")
 MONOMIAL_CORE_DIGESTS = [
     (
@@ -268,6 +279,14 @@ MONOMIAL_CORE_DIGESTS = [
         ("generators", *QM1_GNK, "4", "3", "--verify", "40"),
         "b2c2cced8cabf622182ff53df81f4c632c380d26e521a176b11f020406945217",
     ),
+    (
+        ("auslander", "--algebra", "jordan", "--group", "cyclic", "5", "1", "--N", "8"),
+        "472df17dfc0d328e94c22f93edcb3f8d5c6c469cedcf0498110b384b31de3d69",
+    ),
+    (
+        ("trace", *QM1_GNK, "3", "5", "--element", "h^3*g", "--N", "20"),
+        "5e2d819cb36fe6f142e2c7c2a368ea0757d30ebf8cdb6f03f71a9f9597b56c20",
+    ),
 ]
 
 
@@ -278,7 +297,7 @@ MONOMIAL_CORE_DIGESTS = [
          "theta34", "generators21", "classify64", "gh53", "classify29_23", "classify30_24",
          "molien_q7_cyclic9_4", "molien_gnk87", "trace75_gh3", "present_quantum7_3",
          "auslander53", "generators43", "theta43", "molien_gnk29_23", "theta1_12",
-         "generators43_40"],
+         "generators43_40", "auslander_jordan5_1", "trace35_h3g"],
 )
 def test_monomial_core_stdout_unchanged(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
@@ -499,6 +518,19 @@ def test_verify_pres_stdin_missing_degree(capsys):
     code, out, err = _verify_stdin(capsys, json.dumps(data))
     assert code == 1
     assert err.startswith("error: malformed presentation JSON")
+
+
+def test_verify_pres_stdin_undefined_generator(capsys):
+    # the word's generator index is checked before its degree is read
+    data = {
+        "generators": [{"name": "a", "degree": 2}],
+        "relations": [[{"coeff": {"order": 1, "coeffs": ["1"]}, "word": [5]}]],
+    }
+    code, out, err = _verify_stdin(capsys, json.dumps(data))
+    assert code == 1
+    assert out == ""
+    assert err == "error: word (5,) uses an undefined generator\n"
+    assert "Traceback" not in err
 
 
 def test_verify_pres_stdin_empty_relations(capsys):

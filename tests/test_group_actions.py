@@ -10,7 +10,6 @@ from skewinv.group_actions import (
     RationalFunction,
     _check_finite_order,
     enumerate_group,
-    gnk_is_degenerate,
     group_report,
     hdet,
     is_quasi_reflection,
@@ -20,7 +19,7 @@ from skewinv.group_actions import (
     trace_series,
 )
 from skewinv.scalars import Cyclo, lcm
-from skewinv.skew_algebra import AlgebraSpec, Mat2, validate_automorphism
+from skewinv.skew_algebra import AlgebraElt, AlgebraSpec, Mat2, apply_aut, validate_automorphism
 
 QM1 = AlgebraSpec.quantum(Cyclo.from_rational(-1))
 Q5 = AlgebraSpec.quantum(Cyclo.root(5))
@@ -73,8 +72,9 @@ def test_gnk_degenerate_pair_coincides():
     b = enumerate_group(GroupSpec.gnk(1, 4))
     M = lcm(2 * 2 * 4, 2 * 1 * 4)
     assert {e.key_at(M) for e in a} == {e.key_at(M) for e in b}
-    assert gnk_is_degenerate(2, 4)
-    assert not gnk_is_degenerate(3, 4)
+    # the (i, j)-indexed element list repeats elements exactly when degenerate
+    assert len(GroupSpec.gnk(2, 4).keys) < 2 * 2 * 4
+    assert not len(GroupSpec.gnk(3, 4).keys) < 2 * 3 * 4
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -133,7 +133,7 @@ def test_trace_closed_forms_match_series_on_groups():
             assert rf.expand(24) == series
 
 
-def test_trace_generic_path_agrees_with_mono_path():
+def test_trace_generic_path_agrees_with_mono_path(family_groups):
     groups = [
         GroupSpec.gnk(3, 2),
         GroupSpec.dihedral(4, 3),
@@ -148,6 +148,16 @@ def test_trace_generic_path_agrees_with_mono_path():
     # an odd root order leaves q = -1 outside w_m, so the antidiagonal trace needs w_2m
     g = GradedAut.antidiag_power(3, 1, 1)
     assert trace_series(QM1, GradedAut(g.a, g.b, g.c, g.d), 10) == trace_series(QM1, g, 10)
+    assert g.exponent_key() == (6, (False, 2, 2))
+    # apply_aut: every element's exponent key against its matrix's substitution,
+    # on the monomials of degree <= 4 (distinct coefficients)
+    elt = AlgebraElt({(i, j): 10 * i + j + 1 for i in range(5) for j in range(5 - i)})
+    cases = [(G.ambient, g) for G in family_groups for g in enumerate_group(G)]
+    cases += [(QM1, GradedAut.antidiag_power(3, 1, 1)), (QM1, GradedAut.antidiag_power(3, 1, 2))]
+    for spec, g in cases:
+        stripped = Mat2(g.a, g.b, g.c, g.d)
+        assert g.exponent_key() is not None and stripped.exponent_key() is None
+        assert apply_aut(spec, g, elt, checked=False) == apply_aut(spec, stripped, elt, checked=False)
 
 
 def test_mono_product_matches_matrix_product():
@@ -239,6 +249,11 @@ def test_hdet_examples():
     assert hdet(QM1, GradedAut.antidiagonal(b, c)) == b * c
     w = Cyclo.root(4)
     assert hdet(JORDAN, GradedAut(w, 3, 0, w)) == w ** 2
+    # the key rule against the relation-line scalar of the stripped matrix,
+    # at an even and an odd order on both planes antidiagonal maps act on
+    for spec in (QM1, COMM):
+        for g in (GradedAut.antidiag_power(6, 1, 2), GradedAut.antidiag_power(3, 1, 1)):
+            assert hdet(spec, g) == hdet(spec, Mat2(g.a, g.b, g.c, g.d))
 
 
 def test_hdet_gnk_generators():

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from skewinv.errors import InvalidAutomorphismError
+from skewinv.errors import InvalidAutomorphismError, ParameterError
 from skewinv.scalars import Cyclo, gen_binomial
 from skewinv.skew_algebra import (
     AlgebraElt,
@@ -11,6 +11,7 @@ from skewinv.skew_algebra import (
     Mat2,
     Monomial,
     apply_aut,
+    monomial_action,
     mul,
     power,
     relation_image_scalar,
@@ -174,6 +175,20 @@ def test_apply_aut_antidiagonal_qminus1():
     uv = AlgebraElt.monomial(1, 1, 1)
     # u -> c v, v -> b u gives uv -> cb * vu = -bc * uv
     assert apply_aut(QM1, M, uv) == AlgebraElt.monomial(-(b * c), 1, 1)
+
+
+def test_monomial_action_rule():
+    # antidiag(b = w^e1, c = w^e2) sends u -> w^e2 v and v -> w^e1 u
+    assert monomial_action(QM1, 12, (True, 5, 7)) == (False, 5, 7, 0)
+    assert monomial_action(JORDAN, 12, (True, 5, 5)) == (False, 5, 5, 0)
+    assert monomial_action(QM1, 12, (False, 5, 7)) == (True, 7, 5, 6)
+    assert monomial_action(COMM, 9, (False, 5, 7)) == (True, 7, 5, 0)
+    # q = -1 is no power of w_m for odd m; other planes have no antidiagonal maps
+    with pytest.raises(ParameterError):
+        monomial_action(QM1, 9, (False, 5, 7))
+    for spec in (JORDAN, AlgebraSpec.quantum(Cyclo.root(5))):
+        with pytest.raises(InvalidAutomorphismError):
+            monomial_action(spec, 12, (False, 5, 7))
 
 
 def is_valid_automorphism(spec, M):
