@@ -13,10 +13,11 @@ Two exact paths compute the same dimensions:
    t antidiagonal) each spanning vector x gbar y has one or two nonzero
    coordinates, so the rank is a node count or a union-find with root-of-unity
    edge ratios (`ideal_dims` keeps the generic span for G_{n,k} with n even).
-The kernel is cross-checked against the generic span in the tests.  The
-smash context indexes and multiplies elements by the group's exponent keys
-and reads its character lattice; it builds the matrices only for the
-action in `smash_mul`.
+The kernel reads the group's split (`GroupSpec.swap_key`) and character
+numbers (`GroupSpec.char_number`), and is cross-checked against the generic
+span in the tests.  The smash context indexes and multiplies elements by the
+group's exponent keys; it builds the matrices only for the action in
+`smash_mul`.
 
 Each path yields one exact rank per degree, and `ideal_dims` stops reading at
 the first full degree s, where I_s = (A # G)_s.  That is a proof, not a
@@ -52,7 +53,7 @@ class SmashContext:
         self.spec = G.ambient
         self.elements = enumerate_group(G)  # the matrices that smash_mul applies
         self.order = len(self.elements)
-        m = self.key_order = G.root_order
+        m = G.root_order
         # every element is monomial: index and multiply by exponent keys
         keys = G.keys
         self.index = {key: i for i, key in enumerate(keys)}
@@ -180,13 +181,12 @@ def GH_element(G: GroupSpec, l: int, kind: str) -> SmashElt:
     if kind not in ("G", "H"):
         raise ParameterError("kind must be 'G' or 'H'")
     ctx = smash_context(G)
-    m = ctx.key_order
     # for the key (_, e1, e2), G_l's coefficient is w^(l*e1) and H_l's w^(l*e2)
     slot = 1 if kind == "G" else 2
     out: dict[int, AlgebraElt] = {}
     for key in gnk_keys(v.n, v.k, kind == "G"):
         idx = ctx.index[key]
-        coeff = Cyclo.root(m, l * key[slot])
+        coeff = Cyclo.root(G.root_order, l * key[slot])
         cur = out.get(idx, AlgebraElt.zero()) + AlgebraElt.monomial(coeff, 0, 0)
         if cur.is_zero():
             out.pop(idx, None)
@@ -231,14 +231,13 @@ def ideal_dims(spec: AlgebraSpec, G: GroupSpec, seed: SmashElt, N: int) -> dict:
     if e is None:
         raise ParameterError("seed must be homogeneous (gbar has degree 0)")
     v = G.variant
-    # G_{n,k} with n even keeps the generic span (apart from n = 2 mod 4 with
-    # 4 | k, which is G_(n/2,k)): the benchmark's `auslander` jobs G_(4,1)
+    # G_{n,k} with n even keeps the generic span (apart from a pair that
+    # coincides with G_(n/2,k)): the benchmark's `auslander` jobs G_(4,1)
     # and G_(2,1) check for method "generic_span"
-    even_gnk = isinstance(v, Gnk) and v.n % 2 == 0 and not (v.n % 4 == 2 and v.k % 4 == 0)
+    even_gnk = isinstance(v, Gnk) and v.n % 2 == 0 and v.coincides_with is None
     if spec.is_quantum and not even_gnk and seed == gbar(G):
-        diagonal = all(key[0] for key in ctx.index)
-        method = "character_counting" if diagonal else "gh_basis_graph"
-        ranks = _ideal_dims_characters(spec, ctx, N)
+        method = "character_counting" if G.swap_key is None else "gh_basis_graph"
+        ranks = _ideal_dims_characters(spec, G, N)
     else:
         method, ranks = "generic_span", _ideal_dims_generic(spec, ctx, seed, e, N)
     dims = []
@@ -254,30 +253,34 @@ def ideal_dims(spec: AlgebraSpec, G: GroupSpec, seed: SmashElt, N: int) -> dict:
     return {"N": N, "method": method, "per_degree": per_degree}
 
 
-def _ideal_dims_characters(spec: AlgebraSpec, ctx: SmashContext, N: int):
+def _ideal_dims_characters(spec: AlgebraSpec, G: GroupSpec, N: int):
     """Quantum plane, seed gbar: yields the rank of I_d for 0 <= d <= N.
 
     For g in G and y in A, gbar y g = gbar (g^-1 . y), so I_d is spanned by
     x gbar y for monomials x, y of total degree d.  Let D be the diagonal
-    subgroup, e_chi the character idempotents of kD and t an antidiagonal
-    element; D acts on y = u^p v^r by a character chi_y, so e_0 y = y e_(chi_y^-1)
-    and gbar = |D| e_0 (1 + t).  With t.y = z y', y' = u^r v^p:
+    subgroup, e_chi the character idempotents of kD and t = `G.swap_key`;
+    D acts on y = u^p v^r by the character chi_y (`G.char_number`), so
+    e_0 y = y e_(chi_y^-1) and gbar = |D| e_0 (1 + t).  With t.y = z y',
+    y' = u^r v^p:
         x gbar y = |D| (xy e_(chi_y^-1) + z x y' e_(chi_y'^-1) t).
     In the basis {monomial e_chi, monomial e_chi t} the vector has one nonzero
     coordinate when G = D, so the rank counts the nodes (u-exponent of xy,
     chi_y); otherwise it has two, with a root of unity as their ratio, and the
-    rank is read from a _RatioDSU over these edges.
+    rank is read from a _RatioDSU over these edges.  Their exponents leave
+    out the sign of -z: each union joins an even node (e_chi) to an odd one
+    (e_chi t), so every cycle alternates edge directions, a constant added to
+    every exponent cancels around it, and the rank cannot see it.
     """
-    m = ctx.key_order
-    a, b, c = ctx.G.char_lattice
-    anti = next((key for key in ctx.index if not key[0]), None)
-    if anti is None:
+    m = G.root_order
+    char = G.char_number
+    t = G.swap_key
+    if t is None:
         # chars[p]: bit set of the characters of the divisors of u^p v^(d-p)
         chars: list[int] = []
         for d in range(N + 1):
             prev, chars = chars, []
             for p in range(d + 1):
-                bits = 1 << ((p % a) * c + (d - p - p // a * b) % c)
+                bits = 1 << char(p, d - p)
                 if p:
                     bits |= prev[p - 1]
                 if p < d:
@@ -286,9 +289,8 @@ def _ideal_dims_characters(spec: AlgebraSpec, ctx: SmashContext, N: int):
             yield sum(bits.bit_count() for bits in chars)
         return
     # t.(u^p v^r) = w^(ea p + eb r + ec p r) u^r v^p and q = w^ec, over w_m
-    # with m even, so -1 = w^(m/2)
-    _, ea, eb, ec = monomial_action(spec, m, anti)
-    nchar = a * c
+    _, ea, eb, ec = monomial_action(spec, m, t)
+    nchar = len(G.keys) // 2
     for d in range(N + 1):
         ambient = 2 * nchar * (d + 1)
         dsu = _RatioDSU(ambient, m)
@@ -297,11 +299,11 @@ def _ideal_dims_characters(spec: AlgebraSpec, ctx: SmashContext, N: int):
                 if dsu.rank == ambient:
                     break
                 d1 = d - p2 - r2
-                nA = (p2 % a) * c + (r2 - p2 // a * b) % c + p2 * nchar
-                nB = (r2 % a) * c + (p2 - r2 // a * b) % c + r2 * nchar
-                e0 = ea * p2 + eb * r2 + ec * p2 * r2 + m // 2
+                nA = char(p2, r2) + p2 * nchar
+                nB = char(r2, p2) + r2 * nchar
+                e0 = ea * p2 + eb * r2 + ec * p2 * r2
                 for p1 in range(d1 + 1):
-                    # x = u^p1 v^r1 gives e_A - w^e e_B at the nodes of xy and xy'
+                    # x = u^p1 v^r1 links the nodes of xy and xy'
                     e = e0 + ec * (d1 - p1) * (r2 - p2)
                     shift = p1 * nchar
                     dsu.union(2 * (nA + shift), 2 * (nB + shift) + 1, e)
@@ -448,8 +450,7 @@ def finite_dim_witness(spec: AlgebraSpec, G: GroupSpec, N: int) -> dict:
     report = ideal_dims(spec, G, gbar(G), N)
     per = report["per_degree"]
     s = next((row["degree"] for row in per if row["ideal_dim"] == row["ambient_dim"]), None)
-    order = smash_context(G).order
-    tail_needed = max(4, -(-order // 4))
+    tail_needed = max(4, -(-len(G.keys) // 4))
     found = s is not None and (N - s + 1) >= tail_needed
     return {
         "witness": s if found else None,
@@ -478,9 +479,9 @@ def verify_GH_identities(n: int, k: int, N: int, memberships: bool = True) -> di
     checks: dict[str, bool] = {}
     Gl = {l: GH_element(G, l, "G") for l in range(max(N, 2 * nk) + nk + 2)}
     Hl = {l: GH_element(G, l, "H") for l in range(max(N, 2 * nk) + nk + 2)}
-    # Bezout pair: m0 = x0 n - y0 k with x0 n + y0 k = 1
-    _, x0, y0 = _xgcd(n, k)
-    m0 = x0 * n - y0 * k
+    # m0 = x0 n - y0 k for a Bezout pair x0 n + y0 k = 1, read mod 2nk, where
+    # every such pair gives 2n (n^-1 mod k) - 1
+    m0 = 2 * n * pow(n, -1, k) - 1
     checks["periodicity_G"] = all(Gl[l] == Gl[l + nk] for l in range(N + 1))
     sign = (-1) ** n
     checks["periodicity_H"] = all(Hl[l + nk] == Hl[l].scale(sign) for l in range(N + 1))
@@ -501,7 +502,7 @@ def verify_GH_identities(n: int, k: int, N: int, memberships: bool = True) -> di
         ml = (m0 * l) % (2 * nk)
         if not (
             smash_mul(G, Gl[0], vl) == smash_mul(G, vl, Gl[ml % nk])
-            and smash_mul(G, Hl[0], vl) == smash_mul(G, ul, _gh_mod_H(G, Hl, ml, n, nk))
+            and smash_mul(G, Hl[0], vl) == smash_mul(G, ul, _gh_mod_H(Hl, ml, n, nk))
         ):
             ok_v = False
     checks["G0_u_shift"] = ok_u
@@ -513,25 +514,13 @@ def verify_GH_identities(n: int, k: int, N: int, memberships: bool = True) -> di
     return {"n": n, "k": k, "N": N, "ok": all(checks.values()), "checks": checks}
 
 
-def _gh_mod_H(G, Hl, l, n, nk):
+def _gh_mod_H(Hl, l, n, nk):
     base = l % nk
     wraps = (l - base) // nk
     elt = Hl[base]
     if (wraps * n) % 2:
         elt = elt.scale(-1)
     return elt
-
-
-def _xgcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    return old_r, old_s, old_t
 
 
 def _membership_power_sum(G, Gl, Hl, n, k) -> bool:

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .auslander import finite_dim_witness, verify_GH_identities
 from .errors import InternalInconsistencyError, SkewInvError
-from .group_actions import GradedAut, GroupSpec, group_report, trace
+from .group_actions import CyclicDiag, GradedAut, GroupSpec, group_report, trace
 from .hj_series import hj_expand, nc_series, typeA_data, typeD_data
 from .invariants import (
     generator_set,
@@ -83,14 +83,15 @@ def _group_from_args(args, spec: AlgebraSpec) -> GroupSpec:
             raise ValueError("--group gnk needs n and k")
         if not (spec.is_quantum and spec.q == -1):
             raise ValueError("the G_{n,k} family acts on the (-1)-quantum plane")
-        n, k = params
-        if n % 4 == 2 and k % 4 == 0:
+        G = GroupSpec.gnk(*params)
+        same = G.variant.coincides_with
+        if same is not None:
             print(
-                f"warning: G_({n},{k}) coincides with G_({n // 2},{k}) "
+                f"warning: {G.describe()} coincides with G_({same.n},{same.k}) "
                 "(the pair reduces)",
                 file=sys.stderr,
             )
-        return GroupSpec.gnk(n, k)
+        return G
     raise ValueError(f"unknown group kind {kind!r} (use cyclic or gnk)")
 
 
@@ -446,7 +447,7 @@ AUSLANDER_CAP = 120
 
 def _default_auslander_N(G) -> int:
     v = G.variant
-    if hasattr(v, "a"):
+    if isinstance(v, CyclicDiag):
         return 2 * (v.n - 1) + 4
     return 4 * v.n * v.k + 4
 

@@ -11,11 +11,12 @@ w^e, so it is enumerated once, as the exponent keys (is_diagonal, e1, e2)
 over w_m in `GroupSpec.keys`.  Exponent arithmetic has one home:
 `skew_algebra.monomial_action` is how a key acts on u^i v^j, and here
 `mono_mul` is the product rule, `trace_counts` the degree-d trace as an
-exponent histogram, `char_lattice` the characters of the diagonal subgroup,
-and one rule each decides quasi-reflections and hdet.  Order, smallness, hdet
-triviality, Molien series and fixed spaces read the keys; `enumerate_group`
-builds matrices only where one is applied to the algebra.  The matrix
-entries remain the general path for user matrices and the tests' oracle.
+exponent histogram, `GroupSpec.swap_key` the split G = D + tD (D diagonal),
+`GroupSpec.char_number` the numbering of D's characters on monomials,
+`Gnk.coincides_with` the coincidence G_(n,k) = G_(n/2,k), and one rule each
+decides quasi-reflections and hdet.  Classification, Molien series, fixed
+spaces and the Auslander kernel read these; `enumerate_group` builds matrices
+only where one is applied to the algebra, the general path for user matrices.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .errors import (
     ParameterError,
 )
 from .scalars import Cyclo, euler_phi, lcm
-from .skew_algebra import AlgebraElt, AlgebraSpec, Mat2, apply_aut, monomial_action
-from .skew_algebra import relation_image_scalar, validate_automorphism
+from .skew_algebra import AlgebraElt, AlgebraSpec, Mat2, _coerce_scalar, apply_aut
+from .skew_algebra import monomial_action, relation_image_scalar, validate_automorphism
 
 
 MonoKey = tuple[bool, int, int]
@@ -160,6 +161,11 @@ class Gnk:
         if self.n < 1 or self.k < 1:
             raise ParameterError(f"need positive n, k, got G_({self.n},{self.k})")
 
+    @property
+    def coincides_with(self) -> "Gnk | None":
+        """G_(n/2,k), the same matrix group, when n = 2 (mod 4) and 4 | k."""
+        return Gnk(self.n // 2, self.k) if self.n % 4 == 2 and self.k % 4 == 0 else None
+
 
 @dataclass(frozen=True)
 class DihedralMQ:
@@ -185,12 +191,12 @@ class GroupSpec:
     and `enumerate_group` turns it into matrices where a matrix is applied.
     """
 
-    __slots__ = ("variant", "ambient", "_keys", "_lattice")
+    __slots__ = ("variant", "ambient", "_keys", "_split")
 
     def __init__(self, variant, ambient: AlgebraSpec):
         self.variant = variant
         self.ambient = ambient
-        self._keys = self._lattice = None
+        self._keys = self._split = None
         if isinstance(variant, Gnk):
             if not (ambient.is_quantum and ambient.q == -1):
                 raise ParameterError("G_{n,k} acts on the (-1)-quantum plane")
@@ -274,12 +280,36 @@ class GroupSpec:
         return sorted(seen)
 
     @property
-    def char_lattice(self) -> tuple[int, int, int]:
-        """`_char_lattice` of the diagonal subgroup, computed on first use."""
-        if self._lattice is None:
+    def swap_key(self) -> MonoKey | None:
+        """t in G = D + tD (D the diagonal subgroup): the first antidiagonal
+        key, or None when G = D."""
+        return self._diagonal_split()[0]
+
+    @property
+    def char_number(self):
+        """char_number(p, r): the number in 0..|D|-1 of D's character on
+        u^p v^r, 0 exactly when D fixes it.  diag(w^e1, w^e2) scales u^p v^r
+        by w^(e1 p + e2 r); the (p, r) that D fixes form the kernel L of
+        (p, r) -> character, of index |D| since D acts faithfully on u, v.
+        L has the basis (a, b), (0, c), with c > 0 and then a > 0 least and
+        0 <= b < c, which reduces (p, r) to (p mod a, (r - (p div a) b) mod c):
+        that pair, numbered (p mod a) c + (r - (p div a) b) mod c."""
+        return self._diagonal_split()[1]
+
+    def _diagonal_split(self):
+        """(swap_key, char_number), built on first use."""
+        if self._split is None:
+            m = self.root_order
             weights = [key[1:] for key in self.keys if key[0]]
-            self._lattice = _char_lattice(self.root_order, weights)
-        return self._lattice
+
+            def trivial(p: int, r: int) -> bool:
+                return all((e1 * p + e2 * r) % m == 0 for e1, e2 in weights)
+
+            c = next(r for r in range(1, m + 1) if trivial(0, r))
+            a, b = next((p, r) for p in range(1, m + 1) for r in range(c) if trivial(p, r))
+            swap = next((key for key in self.keys if not key[0]), None)
+            self._split = swap, lambda p, r: (p % a) * c + (r - p // a * b) % c
+        return self._split
 
     def describe(self) -> str:
         v = self.variant
@@ -291,23 +321,6 @@ class GroupSpec:
 
     def __repr__(self) -> str:
         return f"GroupSpec({self.describe()} on {self.ambient.describe()})"
-
-
-def _char_lattice(m: int, weights: list[tuple[int, int]]) -> tuple[int, int, int]:
-    """(a, b, c) for the diagonal subgroup D with exponent pairs `weights`.
-
-    diag(w^e1, w^e2) acts on u^p v^r by w^(e1 p + e2 r).  The (p, r) on which
-    D acts trivially form a lattice with basis (a, b), (0, c) and index |D|,
-    so the character of u^p v^r has number (p mod a) c + (r - (p div a) b) mod c,
-    which is 0 exactly when D fixes u^p v^r.
-    """
-
-    def trivial(p: int, r: int) -> bool:
-        return all((e1 * p + e2 * r) % m == 0 for e1, e2 in weights)
-
-    c = next(r for r in range(1, m + 1) if trivial(0, r))
-    a, b = next((p, r) for p in range(1, m + 1) for r in range(c) if trivial(p, r))
-    return a, b, c
 
 
 def enumerate_group(G: GroupSpec) -> list[GradedAut]:
@@ -327,7 +340,7 @@ class TruncatedSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = [c if isinstance(c, Cyclo) else Cyclo.from_rational(c) for c in coeffs]
+        self.coeffs = [_coerce_scalar(c) for c in coeffs]
 
     @property
     def order(self) -> int:
@@ -369,8 +382,8 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den):
-        self.num = [c if isinstance(c, Cyclo) else Cyclo.from_rational(c) for c in num]
-        self.den = [c if isinstance(c, Cyclo) else Cyclo.from_rational(c) for c in den]
+        self.num = [_coerce_scalar(c) for c in num]
+        self.den = [_coerce_scalar(c) for c in den]
         if all(c.is_zero() for c in self.den):
             raise ParameterError("zero denominator")
         if self.den[0].is_zero():
@@ -381,7 +394,7 @@ class RationalFunction:
         """1 / product(factors), each factor a polynomial coefficient list."""
         den = [Cyclo.one()]
         for f in factors:
-            fc = [c if isinstance(c, Cyclo) else Cyclo.from_rational(c) for c in f]
+            fc = [_coerce_scalar(c) for c in f]
             out = [Cyclo.zero()] * (len(den) + len(fc) - 1)
             for i, x in enumerate(den):
                 if not x.is_zero():

@@ -1,9 +1,9 @@
 """Invariant rings: fixed spaces, Molien series, generators, verification.
 
 Fixed spaces, Molien series and generator walks read the group's exponent
-keys, never its matrices: the diagonal subgroup's character lattice filters
-the monomial basis, and the first antidiagonal key (when present) pins down
-the pairings between u^i v^j and u^j v^i.  `fixed_space` builds a basis of
+keys, never its matrices: the diagonal subgroup's character numbers filter
+the monomial basis, and the swap key (when G has one) pins down the
+pairings between u^i v^j and u^j v^i.  `fixed_space` builds a basis of
 A^G_d with one element per pair, so `molien` counts the pairs, and the
 generator walk stops each degree at that count.  Generation is verified
 degree by degree: the span of products of generators must have the Molien
@@ -53,27 +53,23 @@ def _check_acts(spec: AlgebraSpec, G: GroupSpec) -> None:
 
 def _fixed_pairs(spec: AlgebraSpec, G: GroupSpec, d: int):
     """(i, e) for each element of the degree-d fixed basis: u^i v^j, j = d - i,
-    is fixed by the diagonal subgroup D (character number 0), and with an
-    antidiagonal t, t(u^i v^j) = w^e u^j v^i by `monomial_action` over
-    w_root_order.  Every other antidiagonal element is t delta with delta in
-    D, so all give that ratio on a D-fixed monomial; t^2 lies in D, so t maps
-    u^j v^i back by w^-e, and u^j v^i is D-fixed too (t normalizes D).  So for
-    i < j the pair u^i v^j + w^e u^j v^i is fixed, and u^i v^i is when e = 0;
-    e is None without antidiagonals."""
-    a, b, c = G.char_lattice
-
-    def d_fixed(i: int) -> bool:
-        return i % a == 0 and (d - i - i // a * b) % c == 0
-
-    anti = next((key for key in G.keys if not key[0]), None)
-    if anti is None:
-        yield from ((i, None) for i in range(d + 1) if d_fixed(i))
+    is fixed by the diagonal subgroup D (`G.char_number` 0), and with the
+    antidiagonal t = `G.swap_key`, t(u^i v^j) = w^e u^j v^i by
+    `monomial_action` over w_root_order.  Every other antidiagonal element is
+    t delta with delta in D, so all give that ratio on a D-fixed monomial;
+    t^2 lies in D, so t maps u^j v^i back by w^-e, and u^j v^i is D-fixed too
+    (t normalizes D).  So for i < j the pair u^i v^j + w^e u^j v^i is fixed,
+    and u^i v^i is when e = 0; e is None when G = D."""
+    char = G.char_number
+    t = G.swap_key
+    if t is None:
+        yield from ((i, None) for i in range(d + 1) if not char(i, d - i))
         return
     m = G.root_order
-    _, ea, eb, ec = monomial_action(spec, m, anti)
+    _, ea, eb, ec = monomial_action(spec, m, t)
     for i in range(d // 2 + 1):
         j = d - i
-        if d_fixed(i):
+        if not char(i, j):
             e = (ea * i + eb * j + ec * i * j) % m
             if i < j or e == 0:
                 yield i, e

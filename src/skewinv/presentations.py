@@ -21,17 +21,13 @@ from fractions import Fraction
 from .errors import ParameterError
 from .group_actions import GroupSpec
 from .hj_series import typeA_data
-from .invariants import GeneratorSet, generator_set, molien, subalgebra_spans
+from .invariants import generator_set, molien, subalgebra_spans
 from .linalg import EXACT, PrimeField, nullspace, rref
 from .scalars import Cyclo, gen_binomial
-from .skew_algebra import AlgebraElt, AlgebraSpec, mul, to_text
+from .skew_algebra import AlgebraElt, AlgebraSpec, _coerce_scalar, mul, to_text
 
 FreeWord = tuple[int, ...]
 Relation = list[tuple[Cyclo, FreeWord]]
-
-
-def _coerce(c) -> Cyclo:
-    return c if isinstance(c, Cyclo) else Cyclo.from_rational(c)
 
 
 @dataclass
@@ -47,7 +43,7 @@ class Presentation:
             self.gen_names = [_default_name(i, len(self.gen_degrees)) for i in range(len(self.gen_degrees))]
         cleaned = []
         for rel in self.relations:
-            terms = [(_coerce(c), tuple(w)) for c, w in rel]
+            terms = [(_coerce_scalar(c), tuple(w)) for c, w in rel]
             terms = [(c, w) for c, w in terms if not c.is_zero()]
             if not terms:
                 raise ParameterError("empty relation")
@@ -93,13 +89,7 @@ class Presentation:
             degrees = [g["degree"] for g in data["generators"]]
             names = [g["name"] for g in data["generators"]]
             rels = [
-                [
-                    (
-                        Cyclo(t["coeff"]["order"], [Fraction(x) for x in t["coeff"]["coeffs"]]),
-                        tuple(t["word"]),
-                    )
-                    for t in rel
-                ]
+                [(_scalar_from_json(t["coeff"]), tuple(t["word"])) for t in rel]
                 for rel in data["relations"]
             ]
             return Presentation(degrees, rels, names)
@@ -111,6 +101,20 @@ class Presentation:
             raise ParameterError(
                 "presentation JSON has a coefficient with a zero denominator"
             ) from None
+
+
+def _scalar_from_json(coeff: dict) -> Cyclo:
+    """A coefficient as `Cyclo.to_json` writes it (an integer order, string or
+    integer coefficients); as phi(m) >= sqrt(m/2), a huge order is refused
+    before phi is computed."""
+    order, coeffs = coeff["order"], coeff["coeffs"]
+    if type(order) is not int or order < 1:
+        raise ParameterError(f"coefficient order must be an integer >= 1, got {order!r}")
+    if type(coeffs) is not list or any(type(x) not in (str, int) for x in coeffs):
+        raise ParameterError(f"coefficients must be a list of strings or integers, got {coeffs!r}")
+    if order > 2 * len(coeffs) ** 2:
+        raise ParameterError(f"{len(coeffs)} coefficients are too few for order {order}")
+    return Cyclo(order, [Fraction(x) for x in coeffs])
 
 
 def _default_name(i: int, total: int) -> str:
@@ -157,7 +161,7 @@ def jordan_presentation(n: int) -> Presentation:
 
 def quantum_presentation(n: int, a: int, q) -> Presentation:
     """The q-deformed cyclic-quotient presentation on the type A generators."""
-    q = _coerce(q)
+    q = _coerce_scalar(q)
     if q.is_zero():
         raise ParameterError("q must be nonzero")
     data = typeA_data(n, a)
@@ -204,10 +208,7 @@ def gnk73_presentation() -> Presentation:
     """The four-generator, nine-relation presentation of the G_{7,3} invariants
     (generators a, b, c, d of degrees 15, 9, 21, 12)."""
     one = Cyclo.one()
-
-    def r(c):
-        return _coerce(c)
-
+    r = _coerce_scalar
     relations = [
         [(one, (1, 0)), (one, (0, 1)), (r(4), (3, 3))],
         [(one, (2, 0)), (one, (0, 2)), (r(-2), (1, 1, 1, 1)), (r(-4), (3, 3, 3))],
@@ -354,7 +355,6 @@ def verify_presentation(
     G: GroupSpec,
     pres: Presentation,
     N: int,
-    assignment: list[AlgebraElt] | None = None,
 ) -> dict:
     """Relations vanish under the generator assignment AND the quotient
     F/(R) has the Molien dimensions through N.
@@ -367,9 +367,7 @@ def verify_presentation(
     every degree through N, Q_d = U_d ("certified_mod_p"); otherwise the exact
     DP runs ("exact").  Neither bound assumes that the generators generate or
     that the Molien series is right."""
-    if assignment is None:
-        gens: GeneratorSet = generator_set(spec, G)
-        assignment = gens.generators
+    assignment = generator_set(spec, G).generators
     evaluation = eval_relations(spec, assignment, pres)
     method = "exact"
     if evaluation["all_vanish"]:

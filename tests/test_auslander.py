@@ -132,7 +132,7 @@ def test_ideal_contains_u4v4_gnk31():
 def _u_times_g(G):
     """The degree-1 seed u * g for the first group generator g."""
     ctx = smash_context(G)
-    g = ctx.index[G.generators()[0].mono_key(ctx.key_order)]
+    g = ctx.index[G.generators()[0].mono_key(G.root_order)]
     return SmashElt(ctx, {g: AlgebraElt.monomial(1, 1, 0)})
 
 
@@ -171,9 +171,8 @@ CHARACTER_CASES = [
          "cyclic_4_3_q5", "cyclic_5_2_qm1", "cyclic_6_1_q5", "dihedral_3_2", "dihedral_4_3"],
 )
 def test_character_path_matches_generic(spec, G, N):
-    ctx = smash_context(G)
-    fast = list(_ideal_dims_characters(spec, ctx, N))
-    assert fast == list(_ideal_dims_generic(spec, ctx, gbar(G), 0, N))
+    fast = list(_ideal_dims_characters(spec, G, N))
+    assert fast == list(_ideal_dims_generic(spec, smash_context(G), gbar(G), 0, N))
 
 
 @pytest.mark.parametrize(
@@ -202,7 +201,7 @@ def test_ideal_dims_dispatch(spec, G, seed_of, N, method):
     report = ideal_dims(spec, G, seed_of(G), N)
     assert report["method"] == method
     if method != "generic_span":
-        raw = list(_ideal_dims_characters(spec, smash_context(G), N))
+        raw = list(_ideal_dims_characters(spec, G, N))
         assert [row["ideal_dim"] for row in report["per_degree"]] == raw
 
 
@@ -232,7 +231,7 @@ def test_first_full_degree_certificate(spec, G, seed_of, N):
 
 def test_no_full_degree_computes_every_degree():
     G = GroupSpec.gnk(3, 2)
-    raw = list(_ideal_dims_characters(QM1, smash_context(G), 24))
+    raw = list(_ideal_dims_characters(QM1, G, 24))
     assert len(raw) == 25
     assert all(r < 12 * (d + 1) for d, r in enumerate(raw))
     assert [row["ideal_dim"] for row in ideal_dims(QM1, G, gbar(G), 24)["per_degree"]] == raw
@@ -257,7 +256,7 @@ def test_witness_not_found_for_non_small():
 
 
 def test_monotone_coverage_fraction():
-    dims = _ideal_dims_characters(QM1, smash_context(GroupSpec.gnk(3, 1)), 16)
+    dims = _ideal_dims_characters(QM1, GroupSpec.gnk(3, 1), 16)
     fracs = [r / (6 * (d + 1)) for d, r in enumerate(dims)]
     full_from = next(i for i, f in enumerate(fracs) if f == 1.0)
     assert all(f == 1.0 for f in fracs[full_from:])

@@ -533,6 +533,65 @@ def test_verify_pres_stdin_undefined_generator(capsys):
     assert "Traceback" not in err
 
 
+def _coeff_data(coeff):
+    return {
+        "generators": [{"name": "a", "degree": 2}],
+        "relations": [[{"coeff": coeff, "word": [0, 0]}]],
+    }
+
+
+@pytest.mark.parametrize(
+    "coeff,message",
+    [
+        ({"order": 2.5, "coeffs": ["1"]}, "coefficient order must be an integer >= 1, got 2.5"),
+        ({"order": True, "coeffs": ["1"]}, "coefficient order must be an integer >= 1, got True"),
+        ({"order": 1, "coeffs": [float("inf")]}, "coefficients must be a list of strings or integers, got [inf]"),
+        ({"order": 1, "coeffs": [0.5]}, "coefficients must be a list of strings or integers, got [0.5]"),
+    ],
+    ids=["float_order", "bool_order", "infinite_coeff", "float_coeff"],
+)
+def test_verify_pres_stdin_rejects_non_integer_json(capsys, coeff, message):
+    # Cyclo.to_json writes an integer order and string coefficients; JSON
+    # floats used to reach Cyclo (inf raised OverflowError, and 2.5 asked
+    # for "1.5 coefficients")
+    code, out, err = _verify_stdin(capsys, json.dumps(_coeff_data(coeff)), "--N", "4", n="2")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "order,message",
+    [
+        ("1e400", "coefficient order must be an integer >= 1, got inf"),
+        (str(2 ** 89 - 1), f"1 coefficients are too few for order {2 ** 89 - 1}"),
+    ],
+    ids=["infinite", "huge"],
+)
+def test_verify_pres_stdin_unbounded_order_exits(order, message):
+    # "order": 1e400 reads as float inf, and euler_phi(inf) never returned;
+    # the prime order 2^89 - 1 was factored by trial division up to its
+    # square root.  Each run is bounded by a timeout rather than left to hang
+    # the suite
+    import os
+    import subprocess
+
+    import skewinv
+
+    src = os.path.dirname(os.path.dirname(skewinv.__file__))
+    text = json.dumps(_coeff_data({"order": 1, "coeffs": ["1"]})).replace('"order": 1', f'"order": {order}')
+    argv = [sys.executable, "-m", "skewinv.cli", "verify-pres", "--stdin", "--algebra", "jordan",
+            "--group", "cyclic", "2", "1", "--N", "4"]
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        proc = subprocess.run(argv, input=text, capture_output=True, text=True, timeout=20, env=env)
+    except subprocess.TimeoutExpired:
+        pytest.fail("verify-pres --stdin did not return on order 1e400")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
 def test_verify_pres_stdin_empty_relations(capsys):
     _, pres, _ = run_cli(capsys, "present", "--family", "jordan", "--n", "2")
     data = json.loads(pres)["presentation"]

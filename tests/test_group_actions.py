@@ -19,7 +19,14 @@ from skewinv.group_actions import (
     trace_series,
 )
 from skewinv.scalars import Cyclo, lcm
-from skewinv.skew_algebra import AlgebraElt, AlgebraSpec, Mat2, apply_aut, validate_automorphism
+from skewinv.skew_algebra import (
+    AlgebraElt,
+    AlgebraSpec,
+    Mat2,
+    apply_aut,
+    monomial_action,
+    validate_automorphism,
+)
 
 QM1 = AlgebraSpec.quantum(Cyclo.from_rational(-1))
 Q5 = AlgebraSpec.quantum(Cyclo.root(5))
@@ -346,6 +353,42 @@ def test_key_classification_matches_matrices(family_groups):
         assert is_small_brute(G) == (not any(is_quasi_reflection(G.ambient, g) for g in elems))
         if not G.ambient.is_commutative:
             assert group_report(G)["hdet_trivial"] == all(hdet(G.ambient, g).is_one() for g in elems)
+
+
+def test_split_and_character_numbers_match_definition(family_groups):
+    # swap_key is an antidiagonal key exactly when G has one; char_number is
+    # 0 exactly when every diagonal key fixes the monomial, and two monomials
+    # share a number exactly when every diagonal key scales them alike
+    monos = [(p, d - p) for d in range(25) for p in range(d + 1)]
+    for G in family_groups:
+        m = G.root_order
+        diag = [monomial_action(G.ambient, m, key)[1:3] for key in G.keys if key[0]]
+        t = G.swap_key
+        if len(diag) == len(G.keys):
+            assert t is None
+        else:
+            assert t in G.keys and not t[0]
+        numbers = [G.char_number(p, r) for p, r in monos]
+        scales = [tuple((a * p + b * r) % m for a, b in diag) for p, r in monos]
+        assert all(0 <= c < len(diag) for c in numbers)
+        assert all((c == 0) == (not any(s)) for c, s in zip(numbers, scales))
+        assert len(set(numbers)) == len(set(scales)) == len(set(zip(numbers, scales)))
+
+
+def test_gnk_coincidence_is_the_same_group():
+    # a pair that coincides with G_(n/2,k) has G_(n/2,k)'s matrices
+    reduced = []
+    for n in range(1, 13):
+        for k in range(1, 13):
+            G = GroupSpec.gnk(n, k)
+            same = G.variant.coincides_with
+            if same is not None:
+                m = G.root_order
+                H = GroupSpec(same, G.ambient)
+                assert set(G.keys) == {(d, 2 * e1 % m, 2 * e2 % m) for d, e1, e2 in H.keys}
+                reduced.append((n, k))
+    assert (2, 4) in reduced and (6, 4) in reduced and (10, 12) in reduced
+    assert (2, 2) not in reduced and (4, 4) not in reduced and (3, 4) not in reduced
 
 
 def test_gnk_requires_qminus1():
