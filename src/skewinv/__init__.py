@@ -19,7 +19,6 @@ from .group_actions import (
     CyclicDiag,
     DihedralMQ,
     Gnk,
-    GradedAut,
     GroupSpec,
     RationalFunction,
     TruncatedSeries,

@@ -16,8 +16,8 @@ Two exact paths compute the same dimensions:
 The kernel reads the group's split (`GroupSpec.swap_key`) and character
 numbers (`GroupSpec.char_number`), and is cross-checked against the generic
 span in the tests.  The smash context indexes and multiplies elements by the
-group's exponent keys; it builds the matrices only for the action in
-`smash_mul`.
+group's exponent keys, and `smash_mul` hands the (m, key) pairs of
+`enumerate_group` to `apply_aut`.
 
 Each path yields one exact rank per degree, and `ideal_dims` stops reading at
 the first full degree s, where I_s = (A # G)_s.  That is a proof, not a
@@ -51,7 +51,7 @@ class SmashContext:
     def __init__(self, G: GroupSpec):
         self.G = G
         self.spec = G.ambient
-        self.elements = enumerate_group(G)  # the matrices that smash_mul applies
+        self.elements = enumerate_group(G)  # the (m, key) pairs that smash_mul applies
         self.order = len(self.elements)
         m = G.root_order
         # every element is monomial: index and multiply by exponent keys
@@ -151,10 +151,10 @@ def smash_mul(G: GroupSpec, x: SmashElt, y: SmashElt) -> SmashElt:
     spec = ctx.spec
     out: dict[int, AlgebraElt] = {}
     for gi, a in x.terms.items():
-        gmat = ctx.elements[gi]
+        g = ctx.elements[gi]
         row = ctx.mult[gi]
         for hi, b in y.terms.items():
-            twisted = apply_aut(spec, gmat, b, checked=False)
+            twisted = apply_aut(spec, g, b)
             prod = mul(spec, a, twisted)
             if prod.is_zero():
                 continue

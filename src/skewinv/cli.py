@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .auslander import finite_dim_witness, verify_GH_identities
 from .errors import InternalInconsistencyError, SkewInvError
-from .group_actions import CyclicDiag, GradedAut, GroupSpec, group_report, trace
+from .group_actions import CyclicDiag, GroupElt, GroupSpec, group_report, mono_mul, trace
 from .hj_series import hj_expand, nc_series, typeA_data, typeD_data
 from .invariants import (
     generator_set,
@@ -130,14 +130,15 @@ def _emit_text(payload: dict, indent: int = 0) -> None:
             print(f"{pad}{key}: {value}")
 
 
-def _parse_element(G: GroupSpec, text: str) -> GradedAut:
-    gens = G.generators()
-    names = {"g": gens[0]}
-    if len(gens) > 1:
-        names["h"] = gens[1]
-    acc = GradedAut.identity_elt()
+def _parse_element(G: GroupSpec, text: str) -> GroupElt:
+    """The word's (m, key) pair over w_root_order; the identity is
+    (1, (True, 0, 0)) when no generator factor is applied (an empty word, or
+    only zero powers)."""
     if text in ("e", "1", ""):
-        return acc
+        return 1, (True, 0, 0)
+    m = G.root_order
+    names = dict(zip("gh", G.generator_keys()))
+    acc = None
     for token in text.split("*"):
         token = token.strip()
         if "^" in token:
@@ -151,9 +152,9 @@ def _parse_element(G: GroupSpec, text: str) -> GradedAut:
             raise ValueError("use non-negative powers")
         # g^(2m) = 1 for every generator over w_m: a diagonal one has order
         # dividing m and an antidiagonal one squares to a scalar matrix
-        for _ in range(power % (2 * G.root_order)):
-            acc = acc @ names[name]
-    return acc
+        for _ in range(power % (2 * m)):
+            acc = names[name] if acc is None else mono_mul(acc, names[name], m)
+    return (1, (True, 0, 0)) if acc is None else (m, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +180,8 @@ def _cmd_trace(args) -> dict:
         "element": args.element,
         "N": args.N,
         "series": _series_json(series),
+        "closed_form": closed.to_json(),
     }
-    if closed is not None:
-        payload["closed_form"] = closed.to_json()
     return payload
 
 

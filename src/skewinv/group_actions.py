@@ -1,22 +1,22 @@
 """Finite graded automorphism groups: construction, traces, classification.
 
-Group elements are 2x2 matrices over a cyclotomic field.  The two group
-families are the diagonal cyclic groups 1/n(1, a) and the groups G_{n,k}
-generated by diag(w^(2k), w^(-2k)) and antidiag(w^n, w^n) for w a primitive
-(2nk)-th root of unity; a dihedral family D_{m,q} on the commutative plane
-is provided for the correspondence checks.
+The two group families are the diagonal cyclic groups 1/n(1, a) and the
+groups G_{n,k} generated by diag(w^(2k), w^(-2k)) and antidiag(w^n, w^n) for
+w a primitive (2nk)-th root of unity; a dihedral family D_{m,q} on the
+commutative plane is provided for the correspondence checks.
 
-Every group a `GroupSpec` builds is made of monomial matrices with entries
-w^e, so it is enumerated once, as the exponent keys (is_diagonal, e1, e2)
-over w_m in `GroupSpec.keys`.  Exponent arithmetic has one home:
-`skew_algebra.monomial_action` is how a key acts on u^i v^j, and here
-`mono_mul` is the product rule, `trace_counts` the degree-d trace as an
-exponent histogram, `GroupSpec.swap_key` the split G = D + tD (D diagonal),
-`GroupSpec.char_number` the numbering of D's characters on monomials,
-`Gnk.coincides_with` the coincidence G_(n,k) = G_(n/2,k), and one rule each
-decides quasi-reflections and hdet.  Classification, Molien series, fixed
-spaces and the Auslander kernel read these; `enumerate_group` builds matrices
-only where one is applied to the algebra, the general path for user matrices.
+Every group here is monomial, so a group element is the pair (m, key): the
+exponent key (is_diagonal, e1, e2) of the matrix with entries w_m^e1, w_m^e2.
+`GroupSpec.keys` lists a group once, over w_root_order.  Exponent arithmetic
+has one home: `skew_algebra.monomial_action` is how a key acts on u^i v^j
+(and which keys act at all), and here `mono_mul` is the product rule,
+`trace_counts` the degree-d trace as an exponent histogram,
+`GroupSpec.swap_key` the split G = D + tD (D diagonal), `GroupSpec.char_number`
+the numbering of D's characters on monomials, `Gnk.coincides_with` the
+coincidence G_(n,k) = G_(n/2,k), and one rule each decides quasi-reflections
+and hdet.  `apply_aut`, the traces, hdet and the quasi-reflection test also
+take a general `Mat2`, on the matrix paths that the tests hold the key rules
+against.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .skew_algebra import monomial_action, relation_image_scalar, validate_autom
 
 
 MonoKey = tuple[bool, int, int]
+# a group element: (m, key) with the key over w_m
+GroupElt = tuple[int, MonoKey]
 
 
 def mono_mul(x: MonoKey, y: MonoKey, m: int) -> MonoKey:
@@ -60,82 +62,6 @@ def gnk_keys(n: int, k: int, diagonal: bool) -> list[MonoKey]:
                 for i in range(n) for j in range(k)]
     return [(False, ((2 * j + 1) * n + 2 * k * i) % m, ((2 * j + 1) * n - 2 * k * i) % m)
             for i in range(n) for j in range(k)]
-
-
-class GradedAut(Mat2):
-    """Group element: a matrix plus shape metadata.
-
-    When the element is a monomial matrix whose entries are pure powers of a
-    fixed root of unity, `mono` holds (order, e1, e2) with entries w^e1, w^e2
-    (diagonal: positions (a, d); antidiagonal: (b, c)).  Every element of a
-    `GroupSpec` carries it, and products of two such elements keep it (at the
-    lcm order, by `mono_mul`).  Through `exponent_key` it sends `apply_aut`,
-    the trace, the quasi-reflection test and hdet to the exponent rules; it
-    never changes semantics.  Matrices without it take the general paths.
-    """
-
-    __slots__ = ("shape", "mono")
-
-    def __init__(self, a, b, c, d, mono: tuple[int, int, int] | None = None):
-        super().__init__(a, b, c, d)
-        self.shape = self._detect_shape()
-        self.mono = mono
-
-    def _detect_shape(self) -> str:
-        if self.b.is_zero() and self.c.is_zero():
-            return "diagonal"
-        if self.a.is_zero() and self.d.is_zero():
-            return "antidiagonal"
-        if self.c.is_zero() and self.a == self.d:
-            return "jordan_triangular"
-        return "general"
-
-    @staticmethod
-    def diag_power(m: int, e1: int, e2: int) -> "GradedAut":
-        """diag(w_m^e1, w_m^e2)."""
-        return GradedAut(
-            Cyclo.root(m, e1), 0, 0, Cyclo.root(m, e2), mono=(m, e1 % m, e2 % m)
-        )
-
-    @staticmethod
-    def antidiag_power(m: int, e1: int, e2: int) -> "GradedAut":
-        """antidiag with b = w_m^e1 (top right), c = w_m^e2 (bottom left)."""
-        return GradedAut(
-            0, Cyclo.root(m, e1), Cyclo.root(m, e2), 0, mono=(m, e1 % m, e2 % m)
-        )
-
-    @staticmethod
-    def identity_elt() -> "GradedAut":
-        return GradedAut(1, 0, 0, 1, mono=(1, 0, 0))
-
-    def mono_key(self, m: int) -> MonoKey:
-        """(is_diagonal, e1, e2) over w_m; needs mono with mono[0] dividing m."""
-        mm, e1, e2 = self.mono
-        s = m // mm
-        return (self.shape == "diagonal", e1 * s % m, e2 * s % m)
-
-    def exponent_key(self) -> tuple[int, MonoKey] | None:
-        """(m, key) with the key over w_m, or None without `mono`.  An
-        antidiagonal element of odd order m is read over w_(2m), so that
-        q = -1 = w_(2m)^m is a power of the root (`monomial_action`)."""
-        if self.mono is None:
-            return None
-        m = self.mono[0]
-        if m % 2 and self.shape == "antidiagonal":
-            m *= 2
-        return m, self.mono_key(m)
-
-    @staticmethod
-    def from_key(m: int, key: MonoKey) -> "GradedAut":
-        diagonal, e1, e2 = key
-        return (GradedAut.diag_power if diagonal else GradedAut.antidiag_power)(m, e1, e2)
-
-    def __matmul__(self, other: Mat2) -> "GradedAut":
-        if isinstance(other, GradedAut) and self.mono and other.mono:
-            m = lcm(self.mono[0], other.mono[0])
-            return GradedAut.from_key(m, mono_mul(self.mono_key(m), other.mono_key(m), m))
-        prod = Mat2.__matmul__(self, other)
-        return GradedAut(prod.a, prod.b, prod.c, prod.d)
 
 
 @dataclass(frozen=True)
@@ -187,8 +113,8 @@ class GroupSpec:
 
     The variant checks accept only planes on which the family's generators
     are automorphisms (the tests check every generator).  `keys` lists the
-    elements once, as exponent keys; the group-level computations read it,
-    and `enumerate_group` turns it into matrices where a matrix is applied.
+    elements once, as exponent keys over w_root_order; the group-level
+    computations read it.
     """
 
     __slots__ = ("variant", "ambient", "_keys", "_split")
@@ -242,9 +168,6 @@ class GroupSpec:
             return [(True, 1 % m, v.a)]
         s, t = (2 * v.k, v.n) if isinstance(v, Gnk) else (2 * (v.m - v.q), v.q)
         return [(True, s % m, -s % m), (False, t, t)]
-
-    def generators(self) -> list[GradedAut]:
-        return [GradedAut.from_key(self.root_order, key) for key in self.generator_keys()]
 
     @property
     def keys(self) -> tuple[MonoKey, ...]:
@@ -323,10 +246,11 @@ class GroupSpec:
         return f"GroupSpec({self.describe()} on {self.ambient.describe()})"
 
 
-def enumerate_group(G: GroupSpec) -> list[GradedAut]:
-    """The elements as matrices, in the order of `G.keys`."""
+def enumerate_group(G: GroupSpec) -> list[GroupElt]:
+    """The elements as (root_order, key) pairs, in the order of `G.keys`: the
+    public element list, which the smash context hands to `apply_aut`."""
     m = G.root_order
-    return [GradedAut.from_key(m, key) for key in G.keys]
+    return [(m, key) for key in G.keys]
 
 
 # ---------------------------------------------------------------------------
@@ -425,21 +349,22 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def trace_closed_form(spec: AlgebraSpec, g: GradedAut) -> RationalFunction | None:
-    """Closed form of the trace series, when a formula applies."""
+def trace_closed_form(spec: AlgebraSpec, g: Mat2 | GroupElt) -> RationalFunction:
+    """Tr_A(g, t) = 1 / (1 - tr(g|A_1) t + hdet(g) t^2) for every valid g.
+
+    A is Koszul with one quadratic relation r, so its minimal resolution
+    0 -> A(-2) (x) kr -> A(-1) (x) A_1 -> A -> k -> 0 is g-equivariant, and g
+    acts on the relation line kr by hdet(g) (Jorgensen and Zhang, Adv. Math.
+    151, 2000).  Taking graded traces along it gives
+    Tr_A(g, t) (1 - tr(g|A_1) t + hdet(g) t^2) = 1.  For a pair, tr(g|A_1)
+    is w^e1 + w^e2 when g is diagonal and 0 when it swaps u and v."""
+    if isinstance(g, Mat2):
+        tr = g.a + g.d
+    else:
+        m, key = g
+        tr = Cyclo.from_power_counts(m, trace_counts(spec, m, key, 1)) if key[0] else Cyclo.zero()
     one = Cyclo.one()
-    if g.shape == "diagonal":
-        a, d = g.a, g.d
-        return RationalFunction([one], [one, -(a + d), a * d])
-    if g.shape == "antidiagonal" and spec.is_quantum and spec.q == -1:
-        return RationalFunction([one], [one, Cyclo.zero(), g.b * g.c])
-    if g.shape == "jordan_triangular" and spec.kind == "jordan":
-        a = g.a
-        return RationalFunction([one], [one, -(a + a), a * a])
-    if spec.is_commutative:
-        # classical Molien factor 1/det(1 - g t)
-        return RationalFunction([one], [one, -(g.a + g.d), g.det()])
-    return None
+    return RationalFunction([one], [one, -tr, hdet(spec, g)])
 
 
 def trace_counts(spec: AlgebraSpec, m: int, key: MonoKey, d: int) -> list[int]:
@@ -463,15 +388,15 @@ def trace_counts(spec: AlgebraSpec, m: int, key: MonoKey, d: int) -> list[int]:
     return counts
 
 
-def trace_series(spec: AlgebraSpec, g: GradedAut, N: int) -> TruncatedSeries:
-    """Trace by acting on the monomial basis of each degree and summing diagonals."""
-    validate_automorphism(spec, g)
-    mk = g.exponent_key()
-    if mk is not None:
-        m, key = mk
+def trace_series(spec: AlgebraSpec, g: Mat2 | GroupElt, N: int) -> TruncatedSeries:
+    """Trace of g on each degree d <= N: a pair by its `trace_counts`, a
+    matrix by acting on the monomial basis and summing diagonals."""
+    if not isinstance(g, Mat2):
+        m, key = g
         return TruncatedSeries(
             [Cyclo.from_power_counts(m, trace_counts(spec, m, key, d)) for d in range(N + 1)]
         )
+    validate_automorphism(spec, g)
     coeffs = []
     for d in range(N + 1):
         total = Cyclo.zero()
@@ -482,8 +407,8 @@ def trace_series(spec: AlgebraSpec, g: GradedAut, N: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-def trace(spec: AlgebraSpec, g: GradedAut, N: int) -> tuple[TruncatedSeries, RationalFunction | None]:
-    """(truncated trace series, closed form when available)."""
+def trace(spec: AlgebraSpec, g: Mat2 | GroupElt, N: int) -> tuple[TruncatedSeries, RationalFunction]:
+    """(truncated trace series, closed form)."""
     return trace_series(spec, g, N), trace_closed_form(spec, g)
 
 
@@ -492,14 +417,25 @@ def trace(spec: AlgebraSpec, g: GradedAut, N: int) -> tuple[TruncatedSeries, Rat
 # ---------------------------------------------------------------------------
 
 
-def _check_finite_order(spec: AlgebraSpec, g: GradedAut) -> None:
-    if g.shape == "diagonal":
+def _shape(M: Mat2) -> str:
+    if M.b.is_zero() and M.c.is_zero():
+        return "diagonal"
+    if M.a.is_zero() and M.d.is_zero():
+        return "antidiagonal"
+    if M.c.is_zero() and M.a == M.d:
+        return "jordan_triangular"
+    return "general"
+
+
+def _check_finite_order(spec: AlgebraSpec, g: Mat2) -> None:
+    shape = _shape(g)
+    if shape == "diagonal":
         if not (g.a.is_root_of_unity() and g.d.is_root_of_unity()):
             raise InfiniteOrderError("diagonal entries must be roots of unity")
-    elif g.shape == "antidiagonal":
+    elif shape == "antidiagonal":
         if not (g.b * g.c).is_root_of_unity():
             raise InfiniteOrderError("product of antidiagonal entries must be a root of unity")
-    elif g.shape == "jordan_triangular":
+    elif shape == "jordan_triangular":
         if not g.b.is_zero() or not g.a.is_root_of_unity():
             raise InfiniteOrderError(
                 "triangular automorphisms have infinite order unless b = 0 and a is a root of unity"
@@ -518,7 +454,7 @@ def _check_finite_order(spec: AlgebraSpec, g: GradedAut) -> None:
             if euler_phi(probe) <= phi2:
                 cap = probe
             probe += 1
-        acc = GradedAut.identity_elt()
+        acc = Mat2(1, 0, 0, 1)
         for _ in range(cap * cap):
             acc = acc @ g
             if acc.b.is_zero() and acc.c.is_zero() and acc.a.is_one() and acc.d.is_one():
@@ -542,37 +478,39 @@ def _hdet_rule(spec: AlgebraSpec, m: int, key: MonoKey) -> tuple[int, int]:
     """(s, e) with hdet = s * w_m^e for the monomial element with this key:
     by its `monomial_action`, g sends vu - q uv to w^(a + b) (vu - q uv), or
     when it swaps to w^(a + b) (uv - q vu) = -w^(a + b + c) (vu - q uv); and
-    -w^c = 1 when c = m/2 (q = -1)."""
+    -w^c = 1 when c = m/2 (q = -1).  On the Jordan plane g is the scalar
+    w^a = w^b, which scales the quadratic relation by w^(a + b)."""
     swap, a, b, c = monomial_action(spec, m, key)
     return (-1 if swap and not c else 1), (a + b) % m
 
 
-def is_quasi_reflection(spec: AlgebraSpec, g: GradedAut) -> bool:
-    """Closed-form rule, cross-checked in the tests against a trace-series
-    oracle; the key rule decides an element with an exponent key on a
-    quantum plane (`monomial_action` rejects antidiagonal keys off q = +-1)."""
-    mk = g.exponent_key()
-    if mk is not None and spec.is_quantum:
-        return _quasi_reflection_rule(spec, *mk)
+def is_quasi_reflection(spec: AlgebraSpec, g: Mat2 | GroupElt) -> bool:
+    """The key rule for a pair; for a matrix, the closed-form rule on its
+    shape.  Both are cross-checked in the tests against a trace-series
+    oracle."""
+    if not isinstance(g, Mat2):
+        return _quasi_reflection_rule(spec, *g)
     validate_automorphism(spec, g)
     _check_finite_order(spec, g)
     if spec.kind == "jordan":
         return False
-    if g.shape == "diagonal":
+    shape = _shape(g)
+    if shape == "diagonal":
         return (g.a.is_one()) != (g.d.is_one())
-    if g.shape == "antidiagonal" and spec.q == -1:
+    if shape == "antidiagonal" and spec.q == -1:
         return g.b * g.c == -1
     # commutative plane: quasi-reflection iff exactly one eigenvalue is 1
     return (Cyclo.one() - (g.a + g.d) + g.det()).is_zero() and not g.det().is_one()
 
 
-def hdet(spec: AlgebraSpec, g: GradedAut) -> Cyclo:
-    """Homological determinant: the scalar by which g acts on the relation line
-    (the key rule for an element with an exponent key on a quantum plane)."""
-    mk = g.exponent_key()
-    if mk is not None and spec.is_quantum:
-        sign, e = _hdet_rule(spec, *mk)
-        return sign * Cyclo.root(mk[0], e)
+def hdet(spec: AlgebraSpec, g: Mat2 | GroupElt) -> Cyclo:
+    """Homological determinant: the scalar by which g acts on the relation
+    line, by the key rule for a pair (its exponent histogram reduced, no root
+    table) and from the relation's image for a matrix."""
+    if not isinstance(g, Mat2):
+        m, key = g
+        sign, e = _hdet_rule(spec, m, key)
+        return Cyclo.from_power_counts(m, [0] * e + [sign])
     lam = relation_image_scalar(spec, g)
     if lam is None:
         raise InvalidAutomorphismError(

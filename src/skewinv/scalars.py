@@ -37,7 +37,10 @@ def lcm(a: int, b: int) -> int:
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
-    """The distinct primes dividing n >= 1, ascending."""
+    """The distinct primes dividing the int n >= 1, ascending (a float such
+    as inf would never factor, so any other type is rejected)."""
+    if type(n) is not int:
+        raise ParameterError(f"need an integer, got {n!r}")
     out = []
     q = 2
     while q * q <= n:
@@ -51,7 +54,7 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit the entry of 2
 def euler_phi(m: int) -> int:
     if m < 1:
         raise ParameterError(f"euler_phi needs m >= 1, got {m}")

@@ -297,10 +297,6 @@ class Mat2:
     def key_at(self, m: int) -> tuple:
         return tuple(x.key_at(m) for x in self.entries())
 
-    def exponent_key(self) -> None:
-        """A plain matrix has no exponent key (see `GradedAut.exponent_key`)."""
-        return None
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat2):
             return NotImplemented
@@ -379,14 +375,20 @@ def _shape_hint(spec: AlgebraSpec) -> str:
 def monomial_action(spec: AlgebraSpec, m: int, key: tuple) -> tuple[bool, int, int, int]:
     """(swap, a, b, c): the monomial element with exponent key (is_diagonal,
     e1, e2) over w_m sends u^i v^j to w_m^(a i + b j + c i j) times u^j v^i
-    when swap, else times u^i v^j.  The one statement of this action.
+    when swap, else times u^i v^j.  The one statement of this action, and of
+    which keys act: InvalidAutomorphismError for any other.
 
-    diag(w^e1, w^e2) gives (False, e1, e2, 0).  antidiag(b = w^e1, c = w^e2)
-    sends u -> w^e2 v, v -> w^e1 u and u^i v^j -> w^(e2 i + e1 j) v^i u^j =
+    diag(w^e1, w^e2) gives (False, e1, e2, 0); on the Jordan plane it acts
+    only as a scalar, e1 = e2 (mod m).  antidiag(b = w^e1, c = w^e2) sends
+    u -> w^e2 v, v -> w^e1 u and u^i v^j -> w^(e2 i + e1 j) v^i u^j =
     w^(e2 i + e1 j) q^(ij) u^j v^i.  It acts only for q = +-1, where
     q = w_m^c with c = 0 or m/2 (m even), so c i j = c (i j mod 2) mod m."""
     diagonal, e1, e2 = key
     if diagonal:
+        if spec.kind == "jordan" and (e1 - e2) % m:
+            raise InvalidAutomorphismError(
+                "diagonal maps act on the Jordan plane only as scalars: " + _shape_hint(spec)
+            )
         return False, e1, e2, 0
     if spec._unit_q is None:
         raise InvalidAutomorphismError(
@@ -399,22 +401,22 @@ def monomial_action(spec: AlgebraSpec, m: int, key: tuple) -> tuple[bool, int, i
     return True, e2, e1, m // 2
 
 
-def apply_aut(spec: AlgebraSpec, M: Mat2, elt: AlgebraElt, checked: bool = True) -> AlgebraElt:
-    """Apply the graded automorphism M to elt.  An element with an exponent
-    key (`GradedAut.exponent_key`) maps each term by `monomial_action`; any
-    other matrix substitutes u -> a u + c v, v -> b u + d v, expands and
-    normalizes, which is the reference the tests hold the key path against."""
-    if checked:
-        validate_automorphism(spec, M)
-    mk = M.exponent_key()
-    if mk is not None:
-        m, key = mk
+def apply_aut(spec: AlgebraSpec, M: Mat2 | tuple, elt: AlgebraElt, checked: bool = True) -> AlgebraElt:
+    """Apply a graded automorphism to elt.  A group element (m, key) maps
+    each term by `monomial_action`, which also rejects a key that does not
+    act.  A `Mat2` M is checked (unless checked is False), then substitutes
+    u -> a u + c v, v -> b u + d v, expands and normalizes: the reference
+    that the tests hold the key path against."""
+    if not isinstance(M, Mat2):
+        m, key = M
         swap, ea, eb, ec = monomial_action(spec, m, key)
         out = AlgebraElt()
         for (i, j), coeff in elt.terms.items():
             mon = Monomial(j, i) if swap else Monomial(i, j)
             out.terms[mon] = coeff * Cyclo.root(m, ea * i + eb * j + ec * i * j)
         return out
+    if checked:
+        validate_automorphism(spec, M)
     a, b, c, d = M.entries()
     img_u = AlgebraElt({Monomial(1, 0): a, Monomial(0, 1): c})
     img_v = AlgebraElt({Monomial(1, 0): b, Monomial(0, 1): d})

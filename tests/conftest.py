@@ -4,7 +4,15 @@ import pytest
 
 from skewinv.group_actions import GroupSpec
 from skewinv.scalars import Cyclo
-from skewinv.skew_algebra import AlgebraSpec
+from skewinv.skew_algebra import AlgebraSpec, Mat2
+
+
+def key_matrix(m, key):
+    """The Mat2 of the group element (m, key), its entries built with
+    `Cyclo.root`: the matrix oracle the key rules are held against."""
+    diagonal, e1, e2 = key
+    x, y = Cyclo.root(m, e1), Cyclo.root(m, e2)
+    return Mat2.diagonal(x, y) if diagonal else Mat2.antidiagonal(x, y)
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 import time
 from math import gcd
 
+from conftest import key_matrix
+
 from skewinv.auslander import finite_dim_witness, verify_GH_identities
 from skewinv.group_actions import (
     GroupSpec,
@@ -156,7 +158,7 @@ def test_criterion_5_classification():
             A = enumerate_group(GroupSpec.gnk(n, k))
             B = enumerate_group(GroupSpec.gnk(n // 2, k))
             M = lcm(2 * n * k, n * k)
-            assert {e.key_at(M) for e in A} == {e.key_at(M) for e in B}, (n, k)
+            assert {key_matrix(*e).key_at(M) for e in A} == {key_matrix(*e).key_at(M) for e in B}, (n, k)
     # Cor 3.13 hdet-triviality: G_{n,k} iff k = 1; 1/n(1,a) iff a = n-1; Jordan iff n = 2
     for n in range(1, 13):
         for k in range(1, 13):

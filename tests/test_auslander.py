@@ -33,9 +33,7 @@ def test_smash_mul_twist():
     G = GroupSpec.gnk(3, 1)
     ctx = smash_context(G)
     w = Cyclo.root(6)  # root order 2nk = 6
-    gidx = ctx.index[
-        next(e for e in ctx.elements if e.shape == "diagonal" and e.mono[1] == 2).mono_key(6)
-    ]
+    gidx = ctx.index[next(key for m, key in ctx.elements if key[0] and key[1] == 2)]
     x = SmashElt(ctx, {gidx: AlgebraElt.monomial(1, 1, 0)})
     y = smash_from_algebra(G, AlgebraElt.monomial(1, 0, 1))
     out = smash_mul(G, x, y)
@@ -132,7 +130,7 @@ def test_ideal_contains_u4v4_gnk31():
 def _u_times_g(G):
     """The degree-1 seed u * g for the first group generator g."""
     ctx = smash_context(G)
-    g = ctx.index[G.generators()[0].mono_key(G.root_order)]
+    g = ctx.index[G.generator_keys()[0]]
     return SmashElt(ctx, {g: AlgebraElt.monomial(1, 1, 0)})
 
 

@@ -362,6 +362,19 @@ def test_classify_builds_no_root_table(capsys, monkeypatch):
     assert 1334 not in orders
 
 
+def test_trace_large_group_builds_no_root_table(capsys, monkeypatch):
+    # a trace reads the element's key, so G_(100,100) needs no w_20000 table
+    # (about 1.3 GB); the spy raises before any table is built
+    from skewinv import scalars
+
+    def spy(m):
+        raise AssertionError(f"root table of order {m} requested")
+
+    monkeypatch.setattr(scalars, "_roots", spy)
+    code, out, _ = run_cli(capsys, "trace", *QM1_GNK, "100", "100", "--element", "g", "--N", "10")
+    assert code == 0 and len(json.loads(out)["series"]) == 11
+
+
 def test_auslander_degenerate_gnk_takes_graph_path(capsys):
     # G_(6,4) is G_(3,4): the default N used to run the generic span for 70 s
     code, out, err = run_cli(capsys, "auslander", *QM1_GNK, "6", "4")

@@ -1,11 +1,15 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
+from conftest import key_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from skewinv.cli import _parse_element
 from skewinv.errors import InfiniteOrderError, ParameterError
 from skewinv.group_actions import (
     DihedralMQ,
-    GradedAut,
     GroupSpec,
     RationalFunction,
     _check_finite_order,
@@ -15,6 +19,7 @@ from skewinv.group_actions import (
     is_quasi_reflection,
     is_small_brute,
     is_small_closed_form,
+    mono_mul,
     trace,
     trace_series,
 )
@@ -32,6 +37,13 @@ QM1 = AlgebraSpec.quantum(Cyclo.from_rational(-1))
 Q5 = AlgebraSpec.quantum(Cyclo.root(5))
 JORDAN = AlgebraSpec.jordan()
 COMM = AlgebraSpec.commutative()
+IDENTITY = (1, (True, 0, 0))
+I2 = Mat2(1, 0, 0, 1)
+
+
+def generator_matrices(G):
+    m = G.root_order
+    return [key_matrix(m, key) for key in G.generator_keys()]
 
 
 def test_enumerate_cyclic():
@@ -47,17 +59,17 @@ def test_enumerate_gnk_order():
 def test_gnk_element_formula_matches_matrix_products():
     for n, k in ((3, 1), (3, 4), (5, 3)):
         G = GroupSpec.gnk(n, k)
-        g, h = G.generators()
+        g, h = generator_matrices(G)
         m = G.root_order
         built = set()
-        acc_g = GradedAut.identity_elt()
+        acc_g = I2
         for _ in range(n):
             acc = acc_g
             for _ in range(2 * k):
                 built.add(acc.key_at(m))
                 acc = acc @ h
             acc_g = acc_g @ g
-        listed = {e.key_at(m) for e in enumerate_group(G)}
+        listed = {key_matrix(*e).key_at(m) for e in enumerate_group(G)}
         assert built == listed
 
 
@@ -65,7 +77,7 @@ def test_gnk_closure():
     for n, k in ((3, 1), (2, 3), (3, 2)):
         G = GroupSpec.gnk(n, k)
         m = G.root_order
-        elems = enumerate_group(G)
+        elems = [key_matrix(*e) for e in enumerate_group(G)]
         keys = {e.key_at(m) for e in elems}
         assert len(keys) == len(elems)
         for x in elems:
@@ -78,7 +90,7 @@ def test_gnk_degenerate_pair_coincides():
     a = enumerate_group(GroupSpec.gnk(2, 4))
     b = enumerate_group(GroupSpec.gnk(1, 4))
     M = lcm(2 * 2 * 4, 2 * 1 * 4)
-    assert {e.key_at(M) for e in a} == {e.key_at(M) for e in b}
+    assert {key_matrix(*e).key_at(M) for e in a} == {key_matrix(*e).key_at(M) for e in b}
     # the (i, j)-indexed element list repeats elements exactly when degenerate
     assert len(GroupSpec.gnk(2, 4).keys) < 2 * 2 * 4
     assert not len(GroupSpec.gnk(3, 4).keys) < 2 * 3 * 4
@@ -88,19 +100,19 @@ def test_gnk_degenerate_pair_coincides():
 @pytest.mark.parametrize("k", range(1, 11))
 def test_gnk_presentation_relations(n, k):
     G = GroupSpec.gnk(n, k)
-    g, h = G.generators()
+    g, h = generator_matrices(G)
     m = G.root_order
-    ident = GradedAut.identity_elt().key_at(m)
-    acc = GradedAut.identity_elt()
+    ident = I2.key_at(m)
+    acc = I2
     for _ in range(n):
         acc = acc @ g
     assert acc.key_at(m) == ident
-    acc = GradedAut.identity_elt()
+    acc = I2
     for _ in range(2 * k):
         acc = acc @ h
     assert acc.key_at(m) == ident
     lhs = h @ g
-    rhs = GradedAut.identity_elt()
+    rhs = I2
     for _ in range(n - 1):
         rhs = rhs @ g
     rhs = rhs @ h
@@ -109,20 +121,21 @@ def test_gnk_presentation_relations(n, k):
 
 def test_trace_identity():
     for spec in (QM1, JORDAN, COMM, Q5):
-        series, rf = trace(spec, GradedAut.identity_elt(), 8)
-        assert series.integer_coeffs() == [d + 1 for d in range(9)]
-        assert rf is not None
-        assert rf.expand(8) == series
+        for g in (IDENTITY, I2):
+            series, rf = trace(spec, g, 8)
+            assert series.integer_coeffs() == [d + 1 for d in range(9)]
+            assert rf is not None
+            assert rf.expand(8) == series
 
 
 def test_trace_antidiagonal_example():
-    h = GradedAut.antidiag_power(2, 0, 0)  # antidiag(1, 1)
-    series, rf = trace(QM1, h, 8)
-    assert series.integer_coeffs() == [1, 0, -1, 0, 1, 0, -1, 0, 1]
-    assert rf.expand(8) == series
-    series_c, rf_c = trace(COMM, h, 8)
-    assert series_c.integer_coeffs() == [1, 0, 1, 0, 1, 0, 1, 0, 1]
-    assert rf_c.expand(8) == series_c
+    for h in ((2, (False, 0, 0)), Mat2.antidiagonal(1, 1)):
+        series, rf = trace(QM1, h, 8)
+        assert series.integer_coeffs() == [1, 0, -1, 0, 1, 0, -1, 0, 1]
+        assert rf.expand(8) == series
+        series_c, rf_c = trace(COMM, h, 8)
+        assert series_c.integer_coeffs() == [1, 0, 1, 0, 1, 0, 1, 0, 1]
+        assert rf_c.expand(8) == series_c
 
 
 def test_trace_closed_forms_match_series_on_groups():
@@ -138,6 +151,20 @@ def test_trace_closed_forms_match_series_on_groups():
             series, rf = trace(G.ambient, g, 24)
             assert rf is not None
             assert rf.expand(24) == series
+    # the one formula 1/(1 - tr t + hdet t^2) on matrices, on all four planes:
+    # every element's matrix, diagonal and antidiagonal maps whose entries are
+    # not roots of unity, general matrices on the commutative plane and
+    # Jordan triangular maps [[a, b], [0, a]] with b != 0
+    w3, w5 = Cyclo.root(3), Cyclo.root(5)
+    cases = [(G.ambient, key_matrix(*g)) for G in groups for g in enumerate_group(G)]
+    cases += [(Q5, Mat2.diagonal(w3, -2)), (QM1, Mat2.diagonal(2, w5)),
+              (QM1, Mat2.antidiagonal(3, Fraction(-1, 2))), (QM1, Mat2.antidiagonal(w3, w5))]
+    cases += [(COMM, M) for M in (Mat2(1, 2, 1, 3), Mat2(0, -1, 1, -1), Mat2(1, 2, 0, -1),
+                                  Mat2(w5, 1, 2, w3), Mat2(Fraction(1, 2), 3, -1, w3))]
+    cases += [(JORDAN, Mat2(a, b, 0, a)) for a in (1, -1, w3, w5 ** 2) for b in (1, -2, w5)]
+    for spec, M in cases:
+        series, rf = trace(spec, M, 10)
+        assert rf.expand(10) == series
 
 
 def test_trace_generic_path_agrees_with_mono_path(family_groups):
@@ -149,22 +176,18 @@ def test_trace_generic_path_agrees_with_mono_path(family_groups):
     ]
     for G in groups:
         for g in enumerate_group(G):
-            stripped = GradedAut(g.a, g.b, g.c, g.d)  # no mono metadata
-            assert stripped.mono is None
-            assert trace_series(G.ambient, stripped, 10) == trace_series(G.ambient, g, 10)
-    # an odd root order leaves q = -1 outside w_m, so the antidiagonal trace needs w_2m
-    g = GradedAut.antidiag_power(3, 1, 1)
-    assert trace_series(QM1, GradedAut(g.a, g.b, g.c, g.d), 10) == trace_series(QM1, g, 10)
-    assert g.exponent_key() == (6, (False, 2, 2))
-    # apply_aut: every element's exponent key against its matrix's substitution,
+            assert trace_series(G.ambient, key_matrix(*g), 10) == trace_series(G.ambient, g, 10)
+    # q = -1 is not a power of w_3, so antidiag(w_3, w_3) is read over w_6
+    w3 = Cyclo.root(3)
+    assert trace_series(QM1, Mat2.antidiagonal(w3, w3), 10) == trace_series(QM1, (6, (False, 2, 2)), 10)
+    # apply_aut: every element's key against its matrix's substitution,
     # on the monomials of degree <= 4 (distinct coefficients)
     elt = AlgebraElt({(i, j): 10 * i + j + 1 for i in range(5) for j in range(5 - i)})
-    cases = [(G.ambient, g) for G in family_groups for g in enumerate_group(G)]
-    cases += [(QM1, GradedAut.antidiag_power(3, 1, 1)), (QM1, GradedAut.antidiag_power(3, 1, 2))]
-    for spec, g in cases:
-        stripped = Mat2(g.a, g.b, g.c, g.d)
-        assert g.exponent_key() is not None and stripped.exponent_key() is None
-        assert apply_aut(spec, g, elt, checked=False) == apply_aut(spec, stripped, elt, checked=False)
+    cases = [(G.ambient, g, key_matrix(*g)) for G in family_groups for g in enumerate_group(G)]
+    cases += [(QM1, (6, (False, 2, 2)), Mat2.antidiagonal(w3, w3)),
+              (QM1, (6, (False, 2, 4)), Mat2.antidiagonal(w3, w3 ** 2))]
+    for spec, g, M in cases:
+        assert apply_aut(spec, g, elt) == apply_aut(spec, M, elt, checked=False)
 
 
 def test_mono_product_matches_matrix_product():
@@ -175,23 +198,57 @@ def test_mono_product_matches_matrix_product():
         GroupSpec.cyclic(5, 2, Q5),
     ]
     for G in groups:
-        elems = enumerate_group(G)
-        for x in elems:
-            for y in elems:
-                prod = x @ y
-                assert prod.mono is not None
-                assert prod == Mat2.__matmul__(x, y)
-    # mixed root orders compose at the lcm order
-    prod = GradedAut.diag_power(4, 1, 3) @ GradedAut.antidiag_power(6, 1, 5)
-    assert prod.mono == (12, 5, 7)
-    assert prod == Mat2.__matmul__(GradedAut.diag_power(4, 1, 3), GradedAut.antidiag_power(6, 1, 5))
-    # an operand without mono takes the matrix product and drops the tag
-    plain = GradedAut(Cyclo.root(3), 0, 0, 1) @ GradedAut.diag_power(3, 1, 1)
-    assert plain.mono is None and plain == GradedAut.diag_power(3, 2, 1)
+        m = G.root_order
+        for x in G.keys:
+            for y in G.keys:
+                assert key_matrix(m, mono_mul(x, y, m)) == key_matrix(m, x) @ key_matrix(m, y)
+
+
+_WORD_PLANES = [Q5, COMM, JORDAN]
+
+
+@st.composite
+def _group_and_word(draw):
+    """G_(n,k) with n, k <= 6 or 1/n(1,a) with n <= 7 over q = w5, q = 1 or
+    Jordan, and a word of up to four factors in its generators, as text and
+    as (name, power) factors (power None for a bare name)."""
+    if draw(st.booleans()):
+        G = GroupSpec.gnk(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    else:
+        spec = draw(st.sampled_from(_WORD_PLANES))
+        n = draw(st.integers(1, 7))
+        a = 0 if n == 1 else 1 if spec.kind == "jordan" else draw(st.integers(1, n - 1))
+        G = GroupSpec.cyclic(n, a, spec)
+    names = "gh"[: len(G.generator_keys())]
+    factors = draw(st.lists(st.tuples(st.sampled_from(names),
+                                      st.none() | st.integers(0, 2 * G.root_order + 1)),
+                            max_size=4))
+    text = "*".join(name if p is None else f"{name}^{p}" for name, p in factors)
+    return G, text or draw(st.sampled_from(["e", "1", ""])), factors
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_group_and_word())
+def test_parsed_word_matches_matrix_product(case):
+    # the (m, key) pair of a word against the Mat2 product of the generator
+    # matrices, and trace on the pair against trace on that matrix
+    G, text, factors = case
+    gens = dict(zip("gh", generator_matrices(G)))
+    M = I2
+    for name, p in factors:
+        for _ in range(1 if p is None else p):
+            M = M @ gens[name]
+    g = _parse_element(G, text)
+    assert key_matrix(*g) == M
+    N = 6
+    series, closed = trace(G.ambient, g, N)
+    series_m, closed_m = trace(G.ambient, M, N)
+    assert series == series_m
+    assert closed.expand(N) == series == closed_m.expand(N)
 
 
 def test_jordan_triangular_trace():
-    g = GradedAut(Cyclo.root(3), 2, 0, Cyclo.root(3))
+    g = Mat2(Cyclo.root(3), 2, 0, Cyclo.root(3))
     series, rf = trace(JORDAN, g, 10)
     w = Cyclo.root(3)
     assert all(series[d] == (d + 1) * w ** d for d in range(11))
@@ -199,18 +256,22 @@ def test_jordan_triangular_trace():
 
 
 def test_quasi_reflection_examples():
-    assert is_quasi_reflection(Q5, GradedAut(1, 0, 0, Cyclo.root(3)))
-    assert not is_quasi_reflection(QM1, GradedAut.diag_power(3, 1, 2))
+    assert is_quasi_reflection(Q5, Mat2(1, 0, 0, Cyclo.root(3)))
+    for g in ((3, (True, 1, 2)), key_matrix(3, (True, 1, 2))):
+        assert not is_quasi_reflection(QM1, g)
     w8 = Cyclo.root(8)
-    assert is_quasi_reflection(QM1, GradedAut(0, w8, -(w8 ** -1), 0))  # bc = -1
-    assert is_quasi_reflection(COMM, GradedAut.antidiag_power(2, 0, 0))  # Example: bc = 1
-    assert not is_quasi_reflection(QM1, GradedAut.antidiag_power(2, 0, 0))
+    assert is_quasi_reflection(QM1, Mat2(0, w8, -(w8 ** -1), 0))  # bc = -1
+    assert is_quasi_reflection(QM1, (8, (False, 1, 3)))  # the same map: -w8^-1 = w8^3
+    for h in ((2, (False, 0, 0)), Mat2.antidiagonal(1, 1)):
+        assert is_quasi_reflection(COMM, h)  # Example: bc = 1
+        assert not is_quasi_reflection(QM1, h)
 
 
-def is_quasi_reflection_by_series(spec: AlgebraSpec, g: GradedAut, N: int = 12) -> bool:
+def is_quasi_reflection_by_series(spec: AlgebraSpec, g, N: int = 12) -> bool:
     """Series oracle: trace * (1 - t) must be geometric 1/(1 - lambda t), lambda != 1."""
-    validate_automorphism(spec, g)
-    _check_finite_order(spec, g)
+    M = g if isinstance(g, Mat2) else key_matrix(*g)
+    validate_automorphism(spec, M)
+    _check_finite_order(spec, M)
     trace = trace_series(spec, g, N).coeffs
     series = [trace[0]] + [trace[d] - trace[d - 1] for d in range(1, N + 1)]  # times (1 - t)
     if not series[0].is_one():
@@ -243,31 +304,36 @@ def test_quasi_reflection_closed_form_agrees_with_series_oracle():
 
 def test_quasi_reflection_infinite_order():
     with pytest.raises(InfiniteOrderError):
-        is_quasi_reflection(Q5, GradedAut.diagonal(2, 3))
+        is_quasi_reflection(Q5, Mat2.diagonal(2, 3))
     with pytest.raises(InfiniteOrderError):
-        is_quasi_reflection(JORDAN, GradedAut(1, 1, 0, 1))
+        is_quasi_reflection(JORDAN, Mat2(1, 1, 0, 1))
 
 
 def test_hdet_examples():
-    assert hdet(QM1, GradedAut.identity_elt()).is_one()
+    assert hdet(QM1, IDENTITY).is_one() and hdet(QM1, I2).is_one()
     a, d = Cyclo.root(7, 2), Cyclo.root(7, 3)
-    assert hdet(Q5, GradedAut.diagonal(a, d)) == a * d
+    assert hdet(Q5, Mat2.diagonal(a, d)) == a * d
     b, c = Cyclo.root(8), Cyclo.root(8, 5)
-    assert hdet(QM1, GradedAut.antidiagonal(b, c)) == b * c
+    assert hdet(QM1, Mat2.antidiagonal(b, c)) == b * c
     w = Cyclo.root(4)
-    assert hdet(JORDAN, GradedAut(w, 3, 0, w)) == w ** 2
-    # the key rule against the relation-line scalar of the stripped matrix,
-    # at an even and an odd order on both planes antidiagonal maps act on
+    assert hdet(JORDAN, Mat2(w, 3, 0, w)) == w ** 2
+    # the key rule against the relation-line scalar of the matrix, on every
+    # plane: diagonal keys, and antidiagonal ones where they act
     for spec in (QM1, COMM):
-        for g in (GradedAut.antidiag_power(6, 1, 2), GradedAut.antidiag_power(3, 1, 1)):
-            assert hdet(spec, g) == hdet(spec, Mat2(g.a, g.b, g.c, g.d))
+        for g in ((6, (False, 1, 2)), (6, (False, 2, 2))):
+            assert hdet(spec, g) == hdet(spec, key_matrix(*g))
+    for spec in (QM1, COMM, Q5):
+        for g in ((6, (True, 1, 2)), (7, (True, 0, 3))):
+            assert hdet(spec, g) == hdet(spec, key_matrix(*g))
+    for g in ((4, (True, 1, 1)), (6, (True, 5, 5)), IDENTITY):
+        assert hdet(JORDAN, g) == hdet(JORDAN, key_matrix(*g))
 
 
 def test_hdet_gnk_generators():
     # hdet(g) = 1 and hdet(h) = w^(2n), a primitive k-th root: trivial iff k = 1
     for n, k in ((5, 1), (7, 3), (3, 4)):
         G = GroupSpec.gnk(n, k)
-        g, h = G.generators()
+        g, h = ((G.root_order, key) for key in G.generator_keys())
         assert hdet(QM1, g).is_one()
         hd = hdet(QM1, h)
         assert hd == Cyclo.root(2 * n * k, 2 * n)
@@ -282,11 +348,13 @@ def test_hdet_gnk_generators():
 
 
 def test_hdet_multiplicative_on_groups():
+    # the matrix path on the product of the matrices, the key rule on the factors
     for G in (GroupSpec.gnk(3, 2), GroupSpec.cyclic(5, 3, Q5), GroupSpec.cyclic(3, 1, JORDAN)):
         elems = enumerate_group(G)
         for x in elems[:6]:
             for y in elems[:6]:
-                assert hdet(G.ambient, x @ y) == hdet(G.ambient, x) * hdet(G.ambient, y)
+                xy = key_matrix(*x) @ key_matrix(*y)
+                assert hdet(G.ambient, xy) == hdet(G.ambient, x) * hdet(G.ambient, y)
 
 
 def test_group_report_examples():
@@ -338,8 +406,8 @@ def test_cor_313_trivial_hdet_cases():
 def test_family_generators_are_automorphisms(family_groups):
     # the variant checks in GroupSpec admit only planes where this holds
     for G in family_groups:
-        for g in G.generators():
-            validate_automorphism(G.ambient, g)
+        for key in G.generator_keys():
+            validate_automorphism(G.ambient, key_matrix(G.root_order, key))
     for m, q in ((3, 2), (5, 3), (7, 4)):
         with pytest.raises(ParameterError):
             GroupSpec(DihedralMQ(m, q), QM1)
@@ -347,9 +415,9 @@ def test_family_generators_are_automorphisms(family_groups):
 
 def test_key_classification_matches_matrices(family_groups):
     # smallness and hdet triviality from the keys equal the public
-    # per-matrix rules (the general path on the Jordan plane)
+    # per-matrix rules on every element's matrix
     for G in family_groups:
-        elems = enumerate_group(G)
+        elems = [key_matrix(*g) for g in enumerate_group(G)]
         assert is_small_brute(G) == (not any(is_quasi_reflection(G.ambient, g) for g in elems))
         if not G.ambient.is_commutative:
             assert group_report(G)["hdet_trivial"] == all(hdet(G.ambient, g).is_one() for g in elems)
@@ -410,7 +478,7 @@ def test_rational_function_expansion():
 
 def test_trace_generic_matrix_commutative():
     # classical Molien factor 1/det(1 - g t) against the act-on-basis path
-    g = GradedAut(1, 2, 1, 3)
+    g = Mat2(1, 2, 1, 3)
     series, rf = trace(COMM, g, 10)
     assert rf is not None
     assert rf.expand(10) == series
@@ -420,17 +488,17 @@ def test_hdet_rejects_invalid():
     from skewinv.errors import InvalidAutomorphismError
 
     with pytest.raises(InvalidAutomorphismError):
-        hdet(QM1, GradedAut(1, 1, 0, 1))
+        hdet(QM1, Mat2(1, 1, 0, 1))
 
 
 def test_finite_order_general_matrix_on_commutative_plane():
     # [[0,-1],[1,-1]] has order 3 over the rationals; the naive entry-order
     # bound would misreport it as infinite
-    g = GradedAut(0, -1, 1, -1)
+    g = Mat2(0, -1, 1, -1)
     assert not is_quasi_reflection(COMM, g)
     # an actual reflection written in a skewed basis: conjugate diag(1,-1)
     # by [[1,1],[0,1]] giving [[1,2],[0,-1]]... use u -> u, v -> 2u - v
-    h = GradedAut(1, 2, 0, -1)
+    h = Mat2(1, 2, 0, -1)
     assert is_quasi_reflection(COMM, h)
     with pytest.raises(InfiniteOrderError):
-        is_quasi_reflection(COMM, GradedAut(1, 1, 0, 1))
+        is_quasi_reflection(COMM, Mat2(1, 1, 0, 1))

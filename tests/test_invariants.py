@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from conftest import key_matrix
 
 from skewinv import group_actions, invariants, scalars
 from skewinv.errors import InternalInconsistencyError, ParameterError
@@ -66,8 +67,8 @@ def fixed_space_by_elements(spec, G, d):
     elements filter the monomials; each antidiagonal h must send u^i v^j to
     one common multiple of u^j v^i."""
     elems = enumerate_group(G)
-    diag_monos = [g.mono for g in elems if g.shape == "diagonal"]
-    others = [g for g in elems if g.shape != "diagonal"]  # antidiagonal
+    diag_monos = [(m, e1, e2) for m, (diagonal, e1, e2) in elems if diagonal]
+    others = [key_matrix(m, key) for m, key in elems if not key[0]]  # antidiagonal
     surviving = [
         (i, d - i)
         for i in range(d + 1)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewinv.errors import CycloDivisionError
+from skewinv.errors import CycloDivisionError, ParameterError
 from skewinv.scalars import (
     Cyclo,
     IntPolynomial,
@@ -15,6 +15,7 @@ from skewinv.scalars import (
     euler_phi,
     gen_binomial,
     lcm,
+    prime_factors,
 )
 
 
@@ -150,6 +151,46 @@ def test_promotion_lcm_consistency():
     z = w6 * Cyclo.root(4)
     assert z.order == 12
     assert z == Cyclo.root(12, 2) * Cyclo.root(12, 3)
+
+
+def test_orders_must_be_ints():
+    # a float order used to give euler_phi(2.5) = 1.5, and 2.0 must not read
+    # the cached entry of 2; bools are rejected too
+    assert euler_phi(2) == 1
+    for bad in (2.5, 2.0, True, Fraction(3)):
+        with pytest.raises(ParameterError):
+            euler_phi(bad)
+        with pytest.raises(ParameterError):
+            prime_factors(bad)
+    with pytest.raises(ParameterError):
+        Cyclo.root(3.0)
+
+
+def test_infinite_order_exits_promptly():
+    # euler_phi(inf) used to loop forever in trial division; run it in a
+    # subprocess with a timeout so that a hang fails instead of stalling the suite
+    import os
+    import subprocess
+    import sys
+
+    import skewinv
+
+    src = os.path.dirname(os.path.dirname(skewinv.__file__))
+    code = (
+        "from skewinv.errors import ParameterError\n"
+        "from skewinv.scalars import Cyclo\n"
+        "try:\n"
+        "    Cyclo(float('inf'), [])\n"
+        "except ParameterError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=20, env=env)
+    except subprocess.TimeoutExpired:
+        pytest.fail("Cyclo(float('inf'), []) did not return")
+    assert proc.returncode == 0 and proc.stdout == "need an integer, got inf\n"
 
 
 def test_division_by_zero_raises():

@@ -2,6 +2,7 @@ import random
 from math import factorial
 
 import pytest
+from conftest import key_matrix
 
 from skewinv.errors import InvalidAutomorphismError, ParameterError
 from skewinv.scalars import Cyclo, gen_binomial
@@ -27,22 +28,28 @@ COMM = AlgebraSpec.commutative()
 
 
 def brute_normal_form(spec, word, coeff=None):
-    """Single-step rewriting oracle: words are strings over 'u', 'v'."""
+    """Single-step rewriting oracle: words are strings over 'u', 'v'.  Each
+    round rewrites the first "vu" of every word once, and the words a round
+    produces are kept as one {word: coefficient} map, so equal words reached
+    along different paths merge (rewriting is linear)."""
     coeff = coeff if coeff is not None else Cyclo.one()
     acc = AlgebraElt.zero()
-    stack = [(word, coeff)]
-    while stack:
-        w, c = stack.pop()
-        k = w.find("vu")
-        if k < 0:
-            acc = acc + AlgebraElt.monomial(c, w.count("u"), w.count("v"))
-            continue
-        head, tail = w[:k], w[k + 2:]
-        if spec.is_quantum:
-            stack.append((head + "uv" + tail, c * spec.q))
-        else:
-            stack.append((head + "uv" + tail, c))
-            stack.append((head + "uu" + tail, c))
+    words = {word: coeff}
+    while words:
+        nxt = {}
+        for w, c in words.items():
+            k = w.find("vu")
+            if k < 0:
+                acc = acc + AlgebraElt.monomial(c, w.count("u"), w.count("v"))
+                continue
+            head, tail = w[:k], w[k + 2:]
+            if spec.is_quantum:
+                steps = [(head + "uv" + tail, c * spec.q)]
+            else:
+                steps = [(head + "uv" + tail, c), (head + "uu" + tail, c)]
+            for w2, c2 in steps:
+                nxt[w2] = nxt[w2] + c2 if w2 in nxt else c2
+        words = nxt
     return acc
 
 
@@ -181,6 +188,10 @@ def test_monomial_action_rule():
     # antidiag(b = w^e1, c = w^e2) sends u -> w^e2 v and v -> w^e1 u
     assert monomial_action(QM1, 12, (True, 5, 7)) == (False, 5, 7, 0)
     assert monomial_action(JORDAN, 12, (True, 5, 5)) == (False, 5, 5, 0)
+    assert monomial_action(JORDAN, 12, (True, 5, 17)) == (False, 5, 17, 0)
+    # on the Jordan plane a diagonal map acts only as a scalar
+    with pytest.raises(InvalidAutomorphismError):
+        monomial_action(JORDAN, 12, (True, 5, 7))
     assert monomial_action(QM1, 12, (False, 5, 7)) == (True, 7, 5, 6)
     assert monomial_action(COMM, 9, (False, 5, 7)) == (True, 7, 5, 0)
     # q = -1 is no power of w_m for odd m; other planes have no antidiagonal maps
@@ -258,15 +269,17 @@ def test_apply_aut_homomorphism_all_group_generators():
         groups.append(GroupSpec.cyclic(n, 1, JORDAN))
     for G in groups:
         spec = G.ambient
-        for M in G.generators():
+        for key in G.generator_keys():
             a = AlgebraElt.zero()
             b = AlgebraElt.zero()
             for _ in range(2):
                 a = a + AlgebraElt.monomial(rng.randint(-2, 2), rng.randint(0, 3), rng.randint(0, 3))
                 b = b + AlgebraElt.monomial(rng.randint(-2, 2), rng.randint(0, 3), rng.randint(0, 3))
-            assert apply_aut(spec, M, mul(spec, a, b)) == mul(
-                spec, apply_aut(spec, M, a), apply_aut(spec, M, b)
-            )
+            # the (m, key) pair and its matrix
+            for M in ((G.root_order, key), key_matrix(G.root_order, key)):
+                assert apply_aut(spec, M, mul(spec, a, b)) == mul(
+                    spec, apply_aut(spec, M, a), apply_aut(spec, M, b)
+                )
 
 
 def test_relation_image_scalar_values():

@@ -10,7 +10,11 @@ Every command runs in this process through `skewinv.cli.main`, against the
  - every digest command of tests/test_cli.py;
  - `molien ... gnk n k --N 60` for n, k <= 12;
  - the default `auslander` on G_(n,k) with n odd and nk <= 15, and on
-   1/n(1,a) over q = w_5 with n <= 9.
+   1/n(1,a) over q = w_5 with n <= 9;
+ - `trace ... --N 9` on the words of GNK_WORDS for G_(n,k) with n, k <= 7,
+   on `g h g^3*h` for G_(20,20), G_(13,9) and G_(30,7), and on the words of
+   CYCLIC_WORDS for 1/n(1,a) with n <= 9 and 0 <= a < n over each plane of
+   TRACE_PLANES, the error paths included.
 Record the file at one commit and check it at another: a change that must
 keep stdout byte-identical passes `check` with no difference.
 """
@@ -60,6 +64,13 @@ TEST_CLI_SINGLE = [
     "auslander --algebra qminus1 --group gnk 2 3 --N 12",
 ]
 
+GNK_WORDS = ["e", "1", "g", "h", "g^0", "g^2*h", "h^3", "g*h*g", "h^2", "h*g^5*h"]
+CYCLIC_WORDS = ["e", "g", "g^0", "g^3", "g*g^4", "h"]
+TRACE_PLANES = [["--algebra", "jordan"], ["--algebra", "commutative"], ["--algebra", "qminus1"],
+                ["--algebra", "quantum", "--q", "root:5"],
+                ["--algebra", "quantum", "--q", "root:12"],
+                ["--algebra", "quantum", "--q", "2/3"]]
+
 STDIN_ARGS = ["verify-pres", "--stdin", "--algebra", "jordan", "--group", "cyclic"]
 
 
@@ -107,6 +118,20 @@ def _stdin_cases() -> list[tuple[str, list[str], str]]:
     ]
 
 
+def _trace_grid() -> list[list[str]]:
+    def trace(group: list[str], word: str, plane: list[str] = ["--algebra", "qminus1"]):
+        return ["trace", *plane, "--group", *group, "--element", word, "--N", "9"]
+
+    out = [trace(["gnk", str(n), str(k)], word)
+           for n in range(1, 8) for k in range(1, 8) for word in GNK_WORDS]
+    out += [trace(["gnk", str(n), str(k)], word)
+            for n, k in ((20, 20), (13, 9), (30, 7)) for word in ("g", "h", "g^3*h")]
+    out += [trace(["cyclic", str(n), str(a)], word, plane)
+            for plane in TRACE_PLANES for n in range(1, 10) for a in range(n)
+            for word in CYCLIC_WORDS]
+    return out
+
+
 def commands() -> list[tuple[str, list[str], str | None]]:
     """(label, argv, stdin) for the whole set, duplicates removed."""
     from workloads import draw_queries
@@ -120,6 +145,7 @@ def commands() -> list[tuple[str, list[str], str | None]]:
               for n in range(1, 16, 2) for k in range(1, 16) if n * k <= 15]
     argvs += [["auslander", "--algebra", "quantum", "--q", "root:5", "--group", "cyclic",
                str(n), str(a)] for n in range(2, 10) for a in range(1, n)]
+    argvs += _trace_grid()
     cases = {" ".join(argv): (argv, None) for argv in argvs}
     for label, argv, stdin in _stdin_cases():
         cases[label] = (argv, stdin)
