@@ -16,7 +16,9 @@ the numbering of D's characters on monomials, `Gnk.coincides_with` the
 coincidence G_(n,k) = G_(n/2,k), and one rule each decides quasi-reflections
 and hdet.  `apply_aut`, the traces, hdet and the quasi-reflection test also
 take a general `Mat2`, on the matrix paths that the tests hold the key rules
-against.
+against; a matrix is decided from its trace, determinant and hdet, by one
+finite-order rule (`_check_finite_order`) and the quasi-reflection condition
+tr = 1 + hdet, hdet != 1 read off the closed form of its trace series.
 """
 
 from __future__ import annotations
@@ -24,15 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import (
-    InfiniteOrderError,
-    InternalInconsistencyError,
-    InvalidAutomorphismError,
-    ParameterError,
-)
-from .scalars import Cyclo, euler_phi, lcm
-from .skew_algebra import AlgebraElt, AlgebraSpec, Mat2, _coerce_scalar, apply_aut
-from .skew_algebra import monomial_action, relation_image_scalar, validate_automorphism
+from .errors import InfiniteOrderError, InternalInconsistencyError, ParameterError
+from .scalars import Cyclo, lcm
+from .skew_algebra import AlgebraSpec, Mat2, _coerce_scalar, image_powers, monomial_action, mul
+from .skew_algebra import validate_automorphism
 
 
 MonoKey = tuple[bool, int, int]
@@ -397,14 +394,11 @@ def trace_series(spec: AlgebraSpec, g: Mat2 | GroupElt, N: int) -> TruncatedSeri
             [Cyclo.from_power_counts(m, trace_counts(spec, m, key, d)) for d in range(N + 1)]
         )
     validate_automorphism(spec, g)
-    coeffs = []
-    for d in range(N + 1):
-        total = Cyclo.zero()
-        for i in range(d + 1):
-            img = apply_aut(spec, g, AlgebraElt.monomial(1, i, d - i), checked=False)
-            total = total + img.coefficient(i, d - i)
-        coeffs.append(total)
-    return TruncatedSeries(coeffs)
+    pows_u, pows_v = image_powers(spec, g, N)
+    return TruncatedSeries(
+        [sum((mul(spec, pows_u[i], pows_v[d - i]).coefficient(i, d - i) for i in range(d + 1)),
+             Cyclo.zero()) for d in range(N + 1)]
+    )
 
 
 def trace(spec: AlgebraSpec, g: Mat2 | GroupElt, N: int) -> tuple[TruncatedSeries, RationalFunction]:
@@ -417,57 +411,44 @@ def trace(spec: AlgebraSpec, g: Mat2 | GroupElt, N: int) -> tuple[TruncatedSerie
 # ---------------------------------------------------------------------------
 
 
-def _shape(M: Mat2) -> str:
-    if M.b.is_zero() and M.c.is_zero():
-        return "diagonal"
-    if M.a.is_zero() and M.d.is_zero():
-        return "antidiagonal"
-    if M.c.is_zero() and M.a == M.d:
-        return "jordan_triangular"
-    return "general"
+def _check_finite_order(g: Mat2) -> None:
+    """Raise InfiniteOrderError unless the matrix g has finite order.
 
-
-def _check_finite_order(spec: AlgebraSpec, g: Mat2) -> None:
-    shape = _shape(g)
-    if shape == "diagonal":
-        if not (g.a.is_root_of_unity() and g.d.is_root_of_unity()):
-            raise InfiniteOrderError("diagonal entries must be roots of unity")
-    elif shape == "antidiagonal":
-        if not (g.b * g.c).is_root_of_unity():
-            raise InfiniteOrderError("product of antidiagonal entries must be a root of unity")
-    elif shape == "jordan_triangular":
-        if not g.b.is_zero() or not g.a.is_root_of_unity():
-            raise InfiniteOrderError(
-                "triangular automorphisms have infinite order unless b = 0 and a is a root of unity"
-            )
-    else:
-        # general shape only occurs on the commutative plane.  A finite-order
-        # matrix has root-of-unity eigenvalues whose orders m' satisfy
-        # phi(m') <= 2 phi(m), so the element order divides the lcm of two such
-        # orders; searching powers up to the product of the largest candidates
-        # is an exact test.
-        m = lcm(g.a.order, lcm(g.b.order, lcm(g.c.order, g.d.order)))
-        phi2 = 2 * euler_phi(m)
-        cap = 1
-        probe = 1
-        while probe <= 2 * phi2 * phi2 + 2:
-            if euler_phi(probe) <= phi2:
-                cap = probe
-            probe += 1
-        acc = Mat2(1, 0, 0, 1)
-        for _ in range(cap * cap):
-            acc = acc @ g
-            if acc.b.is_zero() and acc.c.is_zero() and acc.a.is_one() and acc.d.is_one():
-                return
-        raise InfiniteOrderError("matrix has infinite order")
+    Let tr = a + d and det = ad - bc.  If tr^2 = 4 det, g has the one
+    eigenvalue tr/2 and finite order iff it is diagonalizable, g = (tr/2) I,
+    with tr/2 a root of unity; so [[a, b], [0, a]] with b != 0 has infinite
+    order.  Otherwise its eigenvalues l1 != l2 are distinct, g is
+    diagonalizable, and it has finite order iff det = l1 l2 and z = l1 / l2
+    are roots of unity (l1^2 = det z).  z is a root of z^2 - s z + 1 with
+    s = tr^2 / det - 2, so c_k = z^k + z^-k has c_1 = s, c_(2k) = c_k^2 - 2
+    and c_(2k+1) = c_k c_(k+1) - s, and z^k = 1 iff c_k = 2 (x + 1/x = 2 iff
+    x = 1).  z lies in a quadratic extension of Q(w_M), M the lcm of the
+    entries' orders; if z has order n, that extension holds w_(rM) with
+    rM = lcm(n, M), so phi(r) phi(M) <= phi(rM) <= 2 phi(M), r is 1, 2, 3, 4
+    or 6, and n divides 12 M.  So z is a root of unity iff c_(12 M) = 2."""
+    tr, det = g.a + g.d, g.det()
+    if tr * tr == 4 * det:
+        if g.b.is_zero() and g.c.is_zero() and g.a.is_root_of_unity():
+            return
+    elif det.is_root_of_unity():
+        s = tr * tr / det - 2
+        c, c1 = s, s * s - 2  # (c_k, c_(k+1)), k running over the prefixes of 12 M in binary
+        for bit in bin(12 * lcm(lcm(g.a.order, g.b.order), lcm(g.c.order, g.d.order)))[3:]:
+            c, c1 = (c * c1 - s, c1 * c1 - 2) if bit == "1" else (c * c - 2, c * c1 - s)
+        if c == 2:
+            return
+    raise InfiniteOrderError("matrix has infinite order")
 
 
 def _quasi_reflection_rule(spec: AlgebraSpec, m: int, key: MonoKey) -> bool:
-    """Quasi-reflection test for the monomial element with this key over w_m,
-    by its `monomial_action` (swap, a, b, c): a diagonal element is one when
-    it fixes exactly one of u, v, and an antidiagonal one when it fixes uv,
-    w^(a + b + c) = 1 (bc = -1 on q = -1, bc = 1 on q = 1).  On the Jordan
-    plane a group holds only scalars, never one."""
+    """The condition tr = 1 + hdet, hdet != 1 of `is_quasi_reflection` in
+    exponents, for the monomial element with this key over w_m, by its
+    `monomial_action` (swap, a, b, c).  Kept apart so that `is_small_brute`
+    forms no `Cyclo` per key.  A diagonal element has tr = w^a + w^b and
+    hdet = w^(a + b), so the condition is (1 - w^a)(1 - w^b) = 0 with not both
+    factors 0: it fixes exactly one of u, v.  One that swaps has tr = 0 and
+    hdet = -w^(a + b + c) by `_hdet_rule`, so the condition is
+    w^(a + b + c) = 1.  A Jordan group holds only scalars, never one."""
     swap, a, b, c = monomial_action(spec, m, key)
     if swap:
         return (a + b + c) % m == 0
@@ -485,40 +466,29 @@ def _hdet_rule(spec: AlgebraSpec, m: int, key: MonoKey) -> tuple[int, int]:
 
 
 def is_quasi_reflection(spec: AlgebraSpec, g: Mat2 | GroupElt) -> bool:
-    """The key rule for a pair; for a matrix, the closed-form rule on its
-    shape.  Both are cross-checked in the tests against a trace-series
-    oracle."""
+    """g is a quasi-reflection when Tr_A(g, t) = 1 / ((1 - t) q(t)) with
+    q(1) != 0 (Kirkman, Kuzmanovich and Zhang, Trans. AMS 360, 2008).  By
+    `trace_closed_form`, that is 1 - tr t + hdet t^2 = (1 - t)(1 - hdet t):
+    tr = 1 + hdet and hdet != 1.  The key rule states it for a pair; a matrix
+    of finite order is tested directly.  The tests hold both against a
+    trace-series oracle."""
     if not isinstance(g, Mat2):
         return _quasi_reflection_rule(spec, *g)
-    validate_automorphism(spec, g)
-    _check_finite_order(spec, g)
-    if spec.kind == "jordan":
-        return False
-    shape = _shape(g)
-    if shape == "diagonal":
-        return (g.a.is_one()) != (g.d.is_one())
-    if shape == "antidiagonal" and spec.q == -1:
-        return g.b * g.c == -1
-    # commutative plane: quasi-reflection iff exactly one eigenvalue is 1
-    return (Cyclo.one() - (g.a + g.d) + g.det()).is_zero() and not g.det().is_one()
+    h = validate_automorphism(spec, g)
+    _check_finite_order(g)
+    return g.a + g.d == 1 + h and not h.is_one()
 
 
 def hdet(spec: AlgebraSpec, g: Mat2 | GroupElt) -> Cyclo:
     """Homological determinant: the scalar by which g acts on the relation
     line, by the key rule for a pair (its exponent histogram reduced, no root
-    table) and from the relation's image for a matrix."""
+    table) and from the relation's image for a matrix, which
+    `validate_automorphism` checks and returns."""
     if not isinstance(g, Mat2):
         m, key = g
         sign, e = _hdet_rule(spec, m, key)
         return Cyclo.from_power_counts(m, [0] * e + [sign])
-    lam = relation_image_scalar(spec, g)
-    if lam is None:
-        raise InvalidAutomorphismError(
-            f"matrix does not preserve the defining relation of {spec.describe()}"
-        )
-    if g.det().is_zero():
-        raise InvalidAutomorphismError("matrix is not invertible (det = 0)")
-    return lam
+    return validate_automorphism(spec, g)
 
 
 def is_small_closed_form(G: GroupSpec) -> bool:

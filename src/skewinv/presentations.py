@@ -185,8 +185,6 @@ def quantum_presentation(n: int, a: int, q) -> Presentation:
     # q^(r_kl) x_k x_l = x_(k+1)^(b_k - 1) ... x_(l-1)^(b_(l-2) - 1)
     for k in range(1, d + 1):
         for l in range(k + 3, d + 1):
-            if not (2 <= k + 1 < l - 1 <= d - 1):
-                continue
             gammas = {}
             for mm in range(k + 1, l):
                 gammas[mm] = beta[mm - 2] - 2 + (1 if mm == k + 1 else 0) + (1 if mm == l - 1 else 0)

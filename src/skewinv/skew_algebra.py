@@ -338,28 +338,25 @@ def relation_image_scalar(spec: AlgebraSpec, M: Mat2) -> Cyclo | None:
         if not rel[w].is_zero():
             for k in range(4):
                 out[k] = out[k] + rel[w] * img[w][k]
-    # solve out == lambda * rel
-    lam = None
-    for k in range(4):
-        if not rel[k].is_zero():
-            lam = out[k] / rel[k]
-            break
-    assert lam is not None
-    for k in range(4):
-        if not (out[k] - lam * rel[k]).is_zero():
-            return None
+    # solve out == lambda * rel: the vu coefficient of rel is 1 on every plane
+    lam = out[2]
+    if any(not (out[k] - lam * rel[k]).is_zero() for k in range(4)):
+        return None
     return lam
 
 
-def validate_automorphism(spec: AlgebraSpec, M: Mat2) -> None:
-    """Raise InvalidAutomorphismError unless M is a graded automorphism of spec."""
+def validate_automorphism(spec: AlgebraSpec, M: Mat2) -> Cyclo:
+    """Raise InvalidAutomorphismError unless M is a graded automorphism of
+    spec; return the scalar by which it acts on the relation line."""
     if M.det().is_zero():
         raise InvalidAutomorphismError("matrix is not invertible (det = 0)")
-    if relation_image_scalar(spec, M) is None:
+    lam = relation_image_scalar(spec, M)
+    if lam is None:
         raise InvalidAutomorphismError(
             f"matrix does not preserve the defining relation of {spec.describe()}: "
             + _shape_hint(spec)
         )
+    return lam
 
 
 def _shape_hint(spec: AlgebraSpec) -> str:
@@ -401,10 +398,10 @@ def monomial_action(spec: AlgebraSpec, m: int, key: tuple) -> tuple[bool, int, i
     return True, e2, e1, m // 2
 
 
-def apply_aut(spec: AlgebraSpec, M: Mat2 | tuple, elt: AlgebraElt, checked: bool = True) -> AlgebraElt:
+def apply_aut(spec: AlgebraSpec, M: Mat2 | tuple, elt: AlgebraElt) -> AlgebraElt:
     """Apply a graded automorphism to elt.  A group element (m, key) maps
     each term by `monomial_action`, which also rejects a key that does not
-    act.  A `Mat2` M is checked (unless checked is False), then substitutes
+    act.  A `Mat2` M is checked, then substitutes
     u -> a u + c v, v -> b u + d v, expands and normalizes: the reference
     that the tests hold the key path against."""
     if not isinstance(M, Mat2):
@@ -415,16 +412,22 @@ def apply_aut(spec: AlgebraSpec, M: Mat2 | tuple, elt: AlgebraElt, checked: bool
             mon = Monomial(j, i) if swap else Monomial(i, j)
             out.terms[mon] = coeff * Cyclo.root(m, ea * i + eb * j + ec * i * j)
         return out
-    if checked:
-        validate_automorphism(spec, M)
-    a, b, c, d = M.entries()
-    img_u = AlgebraElt({Monomial(1, 0): a, Monomial(0, 1): c})
-    img_v = AlgebraElt({Monomial(1, 0): b, Monomial(0, 1): d})
-    pows_u, pows_v = [AlgebraElt.one()], [AlgebraElt.one()]
-    for _ in range(elt.degree()):
-        pows_u.append(mul(spec, pows_u[-1], img_u))
-        pows_v.append(mul(spec, pows_v[-1], img_v))
+    validate_automorphism(spec, M)
+    pows_u, pows_v = image_powers(spec, M, elt.degree())
     res = AlgebraElt.zero()
     for (i, j), coeff in elt.terms.items():
         res = res + mul(spec, pows_u[i], pows_v[j]).scale(coeff)
     return res
+
+
+def image_powers(spec: AlgebraSpec, M: Mat2, n: int) -> tuple[list[AlgebraElt], list[AlgebraElt]]:
+    """The images (a u + c v)^i of u^i and (b u + d v)^i of v^i under the
+    substitution of M, for 0 <= i <= n (M is not checked)."""
+    a, b, c, d = M.entries()
+    img_u = AlgebraElt({Monomial(1, 0): a, Monomial(0, 1): c})
+    img_v = AlgebraElt({Monomial(1, 0): b, Monomial(0, 1): d})
+    pows_u, pows_v = [AlgebraElt.one()], [AlgebraElt.one()]
+    for _ in range(n):
+        pows_u.append(mul(spec, pows_u[-1], img_u))
+        pows_v.append(mul(spec, pows_v[-1], img_v))
+    return pows_u, pows_v

@@ -1,3 +1,5 @@
+import cmath
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -187,7 +189,7 @@ def test_trace_generic_path_agrees_with_mono_path(family_groups):
     cases += [(QM1, (6, (False, 2, 2)), Mat2.antidiagonal(w3, w3)),
               (QM1, (6, (False, 2, 4)), Mat2.antidiagonal(w3, w3 ** 2))]
     for spec, g, M in cases:
-        assert apply_aut(spec, g, elt) == apply_aut(spec, M, elt, checked=False)
+        assert apply_aut(spec, g, elt) == apply_aut(spec, M, elt)
 
 
 def test_mono_product_matches_matrix_product():
@@ -271,7 +273,7 @@ def is_quasi_reflection_by_series(spec: AlgebraSpec, g, N: int = 12) -> bool:
     """Series oracle: trace * (1 - t) must be geometric 1/(1 - lambda t), lambda != 1."""
     M = g if isinstance(g, Mat2) else key_matrix(*g)
     validate_automorphism(spec, M)
-    _check_finite_order(spec, M)
+    _check_finite_order(M)
     trace = trace_series(spec, g, N).coeffs
     series = [trace[0]] + [trace[d] - trace[d - 1] for d in range(1, N + 1)]  # times (1 - t)
     if not series[0].is_one():
@@ -300,6 +302,104 @@ def test_quasi_reflection_closed_form_agrees_with_series_oracle():
             assert is_quasi_reflection(G.ambient, g) == is_quasi_reflection_by_series(
                 G.ambient, g
             )
+
+
+def test_quasi_reflection_matrices_agree_with_series_oracle():
+    # the one rule tr = 1 + hdet, hdet != 1 on matrices of every shape, on all
+    # four planes, against the trace-series oracle
+    roots = [Cyclo.one(), Cyclo.from_rational(-1), Cyclo.root(3), Cyclo.root(4),
+             Cyclo.root(5, 2), Cyclo.root(8, 3), Cyclo.root(12, 5)]
+    diagonal = [Mat2.diagonal(x, y) for x in roots for y in roots]
+    antidiagonal = [Mat2.antidiagonal(x, y) for x in roots for y in roots]
+    cases = [(spec, M) for spec in (Q5, QM1, COMM) for M in diagonal]
+    cases += [(spec, M) for spec in (QM1, COMM) for M in antidiagonal]
+    cases += [(JORDAN, Mat2.diagonal(x, x)) for x in roots]
+    # general matrices of finite order on the commutative plane: orders 3, 4
+    # and 6, a reflection, and diag(x, y) conjugated by [[1, 1], [0, 1]]
+    cases += [(COMM, M) for M in (Mat2(0, -1, 1, -1), Mat2(0, -1, 1, 0), Mat2(1, -1, 1, 0),
+                                  Mat2(1, 2, 0, -1), Mat2(2, -1, 3, -2))]
+    cases += [(COMM, Mat2(x, y - x, 0, y)) for x in roots for y in roots]
+    for spec, M in cases:
+        assert is_quasi_reflection(spec, M) == is_quasi_reflection_by_series(spec, M), (spec, M)
+    assert sum(is_quasi_reflection(spec, M) for spec, M in cases) > 20
+
+
+def _complex(x: Cyclo) -> complex:
+    w = cmath.exp(2j * cmath.pi / x.order)
+    return sum(c * w ** i for i, c in enumerate(x.coeffs))
+
+
+def _order_by_powers(M: Mat2, K: int = 30):
+    """The least k <= K with M^k = I, or None.  The powers run in complex
+    floating point; a k whose power lies within 1e-6 of I is confirmed
+    exactly, and a power that is exactly I lies far closer than that."""
+    a, b, c, d = map(_complex, M.entries())
+    x = (a, b, c, d)
+    for k in range(1, K + 1):
+        if max(abs(x[0] - 1), abs(x[1]), abs(x[2]), abs(x[3] - 1)) < 1e-6:
+            acc = M
+            for _ in range(k - 1):
+                acc = acc @ M
+            if acc == I2:
+                return k
+        x = (x[0] * a + x[1] * c, x[0] * b + x[1] * d, x[2] * a + x[3] * c, x[2] * b + x[3] * d)
+    return None
+
+
+def test_finite_order_rule_matches_power_search():
+    # random invertible matrices with entries in {0, +-1, 2, 1/2, +-w_m^e}.
+    # Over Q(w_m) with phi(m) <= 4, a finite-order matrix has eigenvalues of
+    # order n with phi(n) <= 8 (each lies in a quadratic extension), so its
+    # order, their lcm, divides the number of roots of unity there: n <= 30
+    rng = random.Random(17)
+    found = []
+    while len(found) < 2400:
+        m = rng.choice((1, 2, 3, 4, 5, 6, 8, 12))
+        pool = [0, 1, -1, 2, Fraction(1, 2)] + [s * Cyclo.root(m, e) for e in range(m) for s in (1, -1)]
+        M = Mat2(*(rng.choice(pool) for _ in range(4)))
+        if M.det().is_zero():
+            continue
+        try:
+            _check_finite_order(M)
+            finite = True
+        except InfiniteOrderError:
+            finite = False
+        order = _order_by_powers(M)
+        assert finite == (order is not None), (M, order)
+        found.append(order)
+    assert sum(order is not None for order in found) > 200
+    assert {2, 3, 4, 5, 6, 8, 10, 12, 24, 30} <= set(found)
+
+
+def test_infinite_order_matrices_exit_promptly():
+    # both have infinite order over Q(w_120), and the finite-order rule must
+    # say so at once; a subprocess timeout turns a stall into a failure
+    # instead of a hung suite
+    import os
+    import subprocess
+    import sys
+
+    import skewinv
+
+    src = os.path.dirname(os.path.dirname(skewinv.__file__))
+    code = (
+        "from skewinv.errors import InfiniteOrderError\n"
+        "from skewinv.group_actions import is_quasi_reflection\n"
+        "from skewinv.scalars import Cyclo\n"
+        "from skewinv.skew_algebra import AlgebraSpec, Mat2\n"
+        "for d in (1, 0):\n"
+        "    try:\n"
+        "        is_quasi_reflection(AlgebraSpec.commutative(), Mat2(Cyclo.root(120), 1, 1, d))\n"
+        "    except InfiniteOrderError:\n"
+        "        print('infinite', d)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=10, env=env)
+    except subprocess.TimeoutExpired:
+        pytest.fail("is_quasi_reflection on Mat2(w_120, 1, 1, d) did not return in 10 s")
+    assert proc.returncode == 0 and proc.stdout == "infinite 1\ninfinite 0\n"
 
 
 def test_quasi_reflection_infinite_order():

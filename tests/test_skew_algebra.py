@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -75,12 +76,14 @@ def test_reorder_jordan_basic():
 
 def test_jordan_reorder_coeffs_match_binomial_formula():
     # k! C(j+k-1, k) C(i, k) with generalized binomials, zero terms dropped;
-    # at j = 0 only the k = 0 term is nonzero
+    # at j = 0 only the k = 0 term is nonzero.  The grid asks for about 4800
+    # distinct binomials about 130 000 times, so they are cached here
+    binomial = lru_cache(maxsize=None)(gen_binomial)
     for i in range(40):
         for j in range(40):
             expected = []
             for k in range(i + 1):
-                c = factorial(k) * gen_binomial(j + k - 1, k) * gen_binomial(i, k)
+                c = factorial(k) * binomial(j + k - 1, k) * binomial(i, k)
                 if c:
                     expected.append((k, c))
             got = _jordan_reorder_coeffs(i, j)
