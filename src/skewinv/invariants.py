@@ -37,7 +37,7 @@ from .skew_algebra import (
     apply_aut,
     monomial_action,
     mul,
-    mul_terms,
+    mul_cols,
     power,
     reorder_rule,
     to_text,
@@ -204,34 +204,44 @@ def generator_set(spec: AlgebraSpec, G: GroupSpec) -> GeneratorSet:
     return gs
 
 
-def _degree_cols(elt: AlgebraElt) -> dict[int, Cyclo]:
-    """Sparse coordinates of a homogeneous element in its degree's monomial basis."""
-    return {mon.i: c for mon, c in elt.terms.items()}
+def _degree_cols(elt: AlgebraElt, field=EXACT) -> dict[int, Cyclo | int]:
+    """Sparse coordinates of a homogeneous element in its degree's monomial
+    basis (column i for u^i v^(d-i)), mapped into `field`."""
+    return {mon.i: field.coerce(c) for mon, c in elt.terms.items()}
 
 
 def _add_products(rule, spans: list[SpanBuilder], gens: list[tuple[dict, int]], d: int,
                   bound: int | None = None) -> None:
     """Add to spans[d] the products b * g, for (g, e) in gens with e <= d and b
-    in spans[d - e], stopping once its rank reaches `bound` when one is given;
-    g is a term map over the spans' field and `rule` is the plane's
-    `reorder_rule` over that field."""
-    field = spans[d].field
+    in spans[d - e], stopping once its rank reaches `bound` when one is given.
+
+    Rows and generators are both column maps {i: c} of homogeneous elements
+    (column i for u^i v^(deg - i)) over the spans' field, and `rule` is the
+    plane's `reorder_rule` over that field, so `mul_cols` writes each product
+    as one column row of spans[d]."""
+    span = spans[d]
+    normalize = span.field.normalize
     for g, e in gens:
         if e > d:
             continue
-        for row in spans[d - e].basis():
-            if spans[d].rank == bound:
+        de = d - e
+        for row in spans[de].basis():
+            if span.rank == bound:
                 return
-            prod = mul_terms(rule, {(i, d - e - i): c for i, c in row.items()}, g, field)
+            out: dict = {}
+            mul_cols(rule, out, row, de, g)
+            prod = normalize(out)
             if prod:
-                spans[d].add({mon.i: c for mon, c in prod.items()})
+                span.add(prod)
 
 
 def subalgebra_spans(
     spec: AlgebraSpec, gens: list[AlgebraElt], N: int, field=EXACT
 ) -> list[SpanBuilder]:
     """Per-degree spans of the unital subalgebra generated by gens, degrees 0..N,
-    over `field`, with the generator coefficients and q mapped into it.
+    over `field`, with the generator coefficients and q mapped into it.  Every
+    product of a span row by a generator is ranked (`_add_products`), with no
+    early stop.
 
     Over a `PrimeField` F_p reached from R = Z_(p)[w_M], with every coefficient
     and q in R, the degree-d span is the span of the reductions of all
@@ -245,9 +255,9 @@ def subalgebra_spans(
     spans = [SpanBuilder(field=field) for _ in range(N + 1)]
     spans[0].add({0: field.one})
     rule = reorder_rule(spec, field)
-    terms = [({mon: field.coerce(c) for mon, c in g.terms.items()}, g.degree()) for g in gens]
+    cols = [(_degree_cols(g, field), g.degree()) for g in gens]
     for d in range(1, N + 1):
-        _add_products(rule, spans, terms, d)
+        _add_products(rule, spans, cols, d)
     return spans
 
 
@@ -303,14 +313,17 @@ def _brute_force_generators(spec: AlgebraSpec, G: GroupSpec) -> list[AlgebraElt]
     target = molien(spec, G, cap).integer_coeffs()
     rule = reorder_rule(spec)
     gens: list[AlgebraElt] = []
+    cols: list[tuple[dict, int]] = []
     spans = [SpanBuilder() for _ in range(cap + 1)]
     spans[0].add({0: Cyclo.one()})
     for d in range(1, cap + 1):
-        _add_products(rule, spans, [(g.terms, g.degree()) for g in gens], d, target[d])
+        _add_products(rule, spans, cols, d, target[d])
         if spans[d].rank < target[d]:
             for vec in fixed_space(spec, G, d):
-                if spans[d].add(_degree_cols(vec)):
+                col = _degree_cols(vec)
+                if spans[d].add(col):
                     gens.append(vec)
+                    cols.append((col, d))
                     if spans[d].rank == target[d]:
                         break
         if spans[d].rank != target[d]:

@@ -299,7 +299,14 @@ class Cyclo:
         return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.num[1:])
+        """True iff num vanishes past the constant term.  A known root power
+        w^e answers from e (it is rational iff it is +-1), and num[1] is read
+        before the rest, which settles most non-rationals without a copy."""
+        e = self._rexp
+        if e is not None and e >= 0:
+            return 2 * e % self.order == 0
+        num = self.num
+        return len(num) == 1 or (not num[1] and not any(num[2:]))
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
@@ -307,7 +314,7 @@ class Cyclo:
         return Fraction(self.num[0], self.den)
 
     def is_one(self) -> bool:
-        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
+        return self.den == 1 and self.num[0] == 1 and self.is_rational()
 
     def is_root_of_unity(self) -> bool:
         """True iff self generates a finite multiplicative group (so lies in <±w>)."""
@@ -344,7 +351,13 @@ class Cyclo:
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclo":
-        return Cyclo._make(self.order, tuple(-x for x in self.num), self.den)
+        """-self; a known root power w^e of even order m is the root
+        w^(e + m/2).  Plain negation does not look e up, which would build
+        the order-m root table (`_scale` by -1 does)."""
+        e, m = self._rexp, self.order
+        if e is not None and e >= 0 and m % 2 == 0:
+            return Cyclo.root(m, e + m // 2)
+        return Cyclo._make(m, tuple(map(operator.neg, self.num)), self.den)
 
     def __sub__(self, other) -> "Cyclo":
         return self + (-Cyclo._coerce(other))
@@ -360,12 +373,17 @@ class Cyclo:
             if t is Fraction:
                 return self._scale(other.numerator, other.denominator)
             other = Cyclo._coerce(other)
+        # a rational factor r scales the other one x (of the two rationals,
+        # the one of larger order), and x is promoted to the lcm order only
+        # when r's order does not divide its own
+        ra, rb = self.is_rational(), other.is_rational()
+        if ra or rb:
+            r, x = (self, other) if ra and not (rb and self.order > other.order) else (other, self)
+            if x.order % r.order:
+                x = x.promote(lcm(x.order, r.order))
+            return x._scale(r.num[0], r.den)
         a, b = (self, other) if self.order == other.order else Cyclo._common(self, other)
         na, nb = a.num, b.num
-        if not any(na[1:]):
-            return b._scale(na[0], a.den)
-        if not any(nb[1:]):
-            return a._scale(nb[0], b.den)
         m = a.order
         ea, eb = a._root_power_exp(), b._root_power_exp()
         if ea is not None and eb is not None:
@@ -380,9 +398,8 @@ class Cyclo:
             if p == 1:
                 return self
             if p == -1:
-                e = self._root_power_exp()
-                if e is not None and self.order % 2 == 0:
-                    return Cyclo.root(self.order, e + self.order // 2)
+                # look e up first, so that -self of a root power is a root
+                self._root_power_exp()
                 return -self
         return Cyclo._normal(self.order, [p * c for c in self.num], q * self.den)
 
@@ -400,6 +417,9 @@ class Cyclo:
         if self.is_rational():
             p = a[0]
             return Cyclo._make(m, (self.den if p > 0 else -self.den,) + a[1:], abs(p))
+        e = self._root_power_exp()
+        if e is not None:
+            return Cyclo.root(m, -e)
         adj: tuple = (1,)
         for k in range(2, m):
             if math.gcd(k, m) == 1:

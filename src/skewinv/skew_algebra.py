@@ -203,8 +203,9 @@ def reorder_rule(spec: AlgebraSpec, field=EXACT):
     cached function (j, i) -> ((k, c_k), ...) with each c_k mapped into
     `field`: c_0 = q^(ij) on the quantum plane, and the integers of
     `_jordan_reorder_coeffs` on the Jordan plane.  These are the structure
-    constants of every product in this module; the exact rule is kept on the
-    spec."""
+    constants of every product (`mul_cols`): `mul` reads the exact rule, kept
+    on the spec, and the product spans of `invariants` read the rule over
+    their own field, an F_p or Q(w_m)."""
     if field is EXACT and spec._rule is not None:
         return spec._rule
     if spec.is_quantum:
@@ -231,24 +232,44 @@ def reorder(spec: AlgebraSpec, i: int, j: int) -> AlgebraElt:
     return AlgebraElt({Monomial(j + k, i - k): c for k, c in reorder_rule(spec)(i, j)})
 
 
-def mul_terms(rule, a: dict, b: dict, field=EXACT) -> dict:
-    """Product of the term maps a, b ({(i, j): scalar of `field`}) under the
-    commutation rule `rule` from `reorder_rule`, as a term map keyed by Monomial."""
-    out: dict = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
+def mul_cols(rule, out: dict, a: dict, da: int, b: dict) -> None:
+    """Add to `out` the product of homogeneous elements a (of degree da) and b
+    given as column maps {i: c}, column i for u^i v^(deg - i), under the
+    commutation rule `rule` from `reorder_rule`: the bilinear extension of
+    (u^i1 v^j1)(u^i2 v^j2) = sum_k c_k u^(i1+i2+k) v^(j1-k+j2), written at the
+    columns i1 + i2 + k of degree da + deg b.  The scalars are those of the
+    rule's field; zeros are kept."""
+    get = out.get
+    for i1, c1 in a.items():
+        j1 = da - i1
+        for i2, c2 in b.items():
             c = c1 * c2
             for k, w in rule(j1, i2):
-                mon = Monomial(i1 + i2 + k, j1 - k + j2)
-                cur = out.get(mon)
-                out[mon] = c * w if cur is None else cur + c * w
-    return field.normalize(out)
+                col = i1 + i2 + k
+                cur = get(col)
+                out[col] = c * w if cur is None else cur + c * w
+
+
+def _degree_parts(a: AlgebraElt) -> dict[int, dict[int, Cyclo]]:
+    """The homogeneous parts of a as column maps, keyed by degree."""
+    parts: dict[int, dict[int, Cyclo]] = {}
+    for (i, j), c in a.terms.items():
+        parts.setdefault(i + j, {})[i] = c
+    return parts
 
 
 def mul(spec: AlgebraSpec, a: AlgebraElt, b: AlgebraElt) -> AlgebraElt:
-    """Exact product in normal form (bilinear extension of reorder)."""
+    """Exact product in normal form: `mul_cols` on each pair of homogeneous
+    parts, over the exact `reorder_rule` of the plane."""
+    rule = reorder_rule(spec)
+    b_parts = _degree_parts(b)
+    outs: dict[int, dict] = {}
+    for da, a_cols in _degree_parts(a).items():
+        for db, b_cols in b_parts.items():
+            mul_cols(rule, outs.setdefault(da + db, {}), a_cols, da, b_cols)
     res = AlgebraElt()
-    res.terms = mul_terms(reorder_rule(spec), a.terms, b.terms)
+    res.terms = {Monomial(i, d - i): c for d, out in outs.items()
+                 for i, c in out.items() if not c.is_zero()}
     return res
 
 

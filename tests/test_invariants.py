@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -29,9 +31,18 @@ from skewinv.invariants import (
     theta_map,
     verify_generation,
 )
-from skewinv.linalg import PrimeField, SpanBuilder
-from skewinv.scalars import Cyclo
-from skewinv.skew_algebra import AlgebraElt, AlgebraSpec, Monomial, mul, power, to_text
+from skewinv.linalg import EXACT, PrimeField, SpanBuilder
+from skewinv.scalars import Cyclo, euler_phi
+from skewinv.skew_algebra import (
+    AlgebraElt,
+    AlgebraSpec,
+    Monomial,
+    monomial_action,
+    mul,
+    power,
+    reorder_rule,
+    to_text,
+)
 
 QM1 = AlgebraSpec.quantum(Cyclo.from_rational(-1))
 Q5 = AlgebraSpec.quantum(Cyclo.root(5))
@@ -146,16 +157,61 @@ def test_molien_counting_agrees_with_generic_sum():
         assert all((a - b).is_zero() for a, b in zip(fast.coeffs, slow))
 
 
-def molien_by_traces(spec, G, N):
-    """Oracle: hilb A^G as the group average of the trace series.  The traces
-    of each degree are summed as one exponent histogram over w_m and reduced
-    once; each average is a dimension, so it must come out an integer (the
-    imaginary parts cancel and |G| divides the total)."""
+def summed_trace_counts(spec, G, d):
+    """The exponent histogram over w_m of the sum of every element's degree-d
+    trace, one `trace_counts` histogram per key."""
     m = G.root_order
-    coeffs = []
+    return list(map(sum, zip(*(group_actions.trace_counts(spec, m, key, d) for key in G.keys))))
+
+
+def summed_traces_by_degree(spec, G, N):
+    """The lists of `summed_trace_counts` for d = 0..N, from one running
+    histogram per exponent b rather than one histogram per key and degree.
+
+    By `monomial_action`, a key that keeps monomials scales u^i v^(d-i) by
+    w^(b d + (a - b) i), so its degree-d exponents are its degree-(d-1)
+    exponents plus b, and one more, a d.  The keys sharing b therefore share
+    one histogram, rotated by b each degree.  A key that swaps monomials
+    fixes only u^i v^i, d = 2i, with exponent (a + b) i + c i i.  Each
+    histogram is packed into one int, 32 bits per exponent (no count reaches
+    2^32), so that a rotation or a sum is a few int operations."""
+    m = G.root_order
+    full = (1 << 32 * m) - 1
+    steps, swaps = {}, []
+    for key in G.keys:
+        swap, a, b, c = monomial_action(spec, m, key)
+        if swap:
+            swaps.append((a + b, c))
+        else:
+            steps.setdefault(b % m, []).append(a)
+    packed = dict.fromkeys(steps, 0)
     for d in range(N + 1):
-        traces = (group_actions.trace_counts(spec, m, key, d) for key in G.keys)
-        counts = list(map(sum, zip(*traces)))
+        total = 0
+        for b, tops in steps.items():
+            hist = packed[b]
+            hist = ((hist << 32 * b) | (hist >> 32 * (m - b))) & full
+            for a in tops:
+                hist += 1 << 32 * (a * d % m)
+            packed[b] = hist
+            total += hist
+        if d % 2 == 0:
+            i = d // 2
+            for s, c in swaps:
+                total += 1 << 32 * ((s * i + c * i * i) % m)
+        yield memoryview(total.to_bytes(4 * m, sys.byteorder)).cast("I").tolist()
+
+
+def molien_by_traces(spec, G, N, histograms=None):
+    """Oracle: hilb A^G as the group average of the trace series.  The traces
+    of each degree are summed as one exponent histogram over w_m (by default
+    `summed_trace_counts`) and reduced once; each average is a dimension, so
+    it must come out an integer (the imaginary parts cancel and |G| divides
+    the total)."""
+    m = G.root_order
+    if histograms is None:
+        histograms = (summed_trace_counts(spec, G, d) for d in range(N + 1))
+    coeffs = []
+    for d, counts in enumerate(histograms):
         total = Cyclo.from_power_counts(m, counts)
         if not total.is_rational():
             raise InternalInconsistencyError(f"Molien coefficient at degree {d} is not rational")
@@ -191,7 +247,30 @@ def test_molien_counting_matches_trace_average_grid():
     groups += [GroupSpec.dihedral(m, q) for m in range(3, 14) for q in range(2, m) if gcd(m, q) == 1]
     assert len(groups) == 303
     for G in groups:
-        assert molien(G.ambient, G, 60) == molien_by_traces(G.ambient, G, 60), G
+        totals = summed_traces_by_degree(G.ambient, G, 60)
+        assert molien(G.ambient, G, 60) == molien_by_traces(G.ambient, G, 60, totals), G
+
+
+def test_running_trace_histograms_match_trace_counts():
+    groups = [GroupSpec.gnk(n, k) for n in range(1, 7) for k in range(1, 7)]
+    groups += [GroupSpec.cyclic(n, a, Q5) for n in range(2, 8) for a in range(1, n)]
+    groups += [GroupSpec.cyclic(n, 1, JORDAN) for n in range(2, 6)]
+    groups += [GroupSpec.dihedral(m, q) for m in range(3, 8) for q in range(2, m) if gcd(m, q) == 1]
+    for G in groups:
+        fast = list(summed_traces_by_degree(G.ambient, G, 25))
+        assert fast == [summed_trace_counts(G.ambient, G, d) for d in range(26)], G
+
+
+@pytest.mark.parametrize(
+    "G",
+    [GroupSpec.gnk(12, 12), GroupSpec.gnk(12, 11), GroupSpec.gnk(11, 12),
+     GroupSpec.cyclic(9, 8, AlgebraSpec.quantum(Cyclo.root(7))), GroupSpec.dihedral(13, 12)],
+    ids=["gnk_12_12", "gnk_12_11", "gnk_11_12", "cyclic_9_8_w7", "dihedral_13_12"],
+)
+def test_running_trace_histograms_match_trace_counts_at_grid_extremes(G):
+    # the grid's largest root orders, through the grid's own N = 60
+    fast = list(summed_traces_by_degree(G.ambient, G, 60))
+    assert fast == [summed_trace_counts(G.ambient, G, d) for d in range(61)], G
 
 
 @pytest.mark.parametrize(
@@ -398,6 +477,71 @@ def test_verify_generation_drop_one_fails():
     exact = [s.rank for s in subalgebra_spans(QM1, dropped.generators, 20)]
     assert [row["span_dim"] for row in report["dims"]] == exact
     assert exact[12] < report["dims"][12]["invariant_dim"]
+
+
+class _RecordedRows:
+    """Stands in for a `SpanBuilder` around `invariants._add_products`:
+    `basis` lists the given rows and `add` records each product row."""
+
+    def __init__(self, field):
+        self.field, self.rows = field, []
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def basis(self):
+        return self.rows
+
+    def add(self, row):
+        self.rows.append(row)
+        return True
+
+
+def _random_homogeneous(rng, d, M):
+    """A nonzero element of A_d with coefficients in Q(w_M): rationals, root
+    powers and general elements, on a random set of monomials."""
+    terms = {}
+    for i in range(d + 1):
+        kind = rng.randrange(4)
+        if kind == 0:
+            continue
+        if kind == 1:
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        elif kind == 2:
+            c = Cyclo.root(M, rng.randrange(M))
+        else:
+            c = Cyclo(M, [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(euler_phi(M))])
+        terms[(i, d - i)] = c
+    elt = AlgebraElt(terms)
+    return elt if not elt.is_zero() else AlgebraElt.monomial(1, d, 0)
+
+
+@pytest.mark.parametrize(
+    "spec, M",
+    [(JORDAN, 4), (AlgebraSpec.quantum(Cyclo.root(3)), 6), (QM1, 12), (COMM, 5)],
+    ids=["jordan", "q_w3", "q_minus_1", "commutative"],
+)
+def test_product_rows_match_mul(spec, M):
+    # each row b * g that _add_products writes equals mul(spec, b, g) in the
+    # columns of its degree, exactly and after the reduction to F_p
+    rng = random.Random(M)
+    for _ in range(25):
+        db, dg = rng.randrange(5), rng.randrange(1, 5)
+        bs = [_random_homogeneous(rng, db, M) for _ in range(3)]
+        g = _random_homogeneous(rng, dg, M)
+        d = db + dg
+        for field in (EXACT, _generation_field(spec, bs + [g])):
+            spans = [_RecordedRows(field) for _ in range(d + 1)]
+            spans[db].rows = [invariants._degree_cols(b, field) for b in bs]
+            gens = [(invariants._degree_cols(g, field), dg)]
+            invariants._add_products(reorder_rule(spec, field), spans, gens, d)
+            products = (field.normalize(invariants._degree_cols(mul(spec, b, g), field)) for b in bs)
+            want = [row for row in products if row]
+            assert spans[d].rows == want
+            spans[d].rows = []
+            invariants._add_products(reorder_rule(spec, field), spans, gens, d, bound=1)
+            assert spans[d].rows == want[:1]
 
 
 def _generation_field(spec, gens):

@@ -278,6 +278,47 @@ def test_untagged_root_copy_acts_like_root(m):
         assert Cyclo(m, [c / 2 for c in w.coeffs])._root_power_exp() is None
 
 
+def test_rational_factor_keeps_the_lcm_order():
+    three, w7 = Cyclo.from_rational(3), Cyclo.root(7)
+    for prod in (three * w7, w7 * three):
+        assert prod.order == 7
+        assert prod.num == tuple(3 * x for x in w7.num)
+    # order 24 does not divide 5, so the product is read in Q(w_120)
+    r, w5 = Cyclo.from_rational(Fraction(-2, 3)).promote(24), Cyclo.root(5)
+    for prod in (r * w5, w5 * r):
+        want = r.promote(120) * w5.promote(120)
+        assert prod.order == want.order == 120
+        assert (prod.num, prod.den) == (want.num, want.den)
+    # of two rationals, the one of larger order is scaled, and the lcm order
+    # is kept
+    for other, order in ((Cyclo.from_rational(Fraction(1, 2)), 24),
+                         (Cyclo.from_rational(5).promote(5), 120)):
+        for prod in (r * other, other * r):
+            assert prod.order == order
+            assert prod == Cyclo.from_rational(r.rational_value() * other.rational_value())
+            assert prod.is_rational() and prod.num[1:] == (0,) * (len(prod.num) - 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 9, 12, 15, 24])
+def test_negated_root_is_the_negated_tuple(m):
+    for e in range(m):
+        w = Cyclo.root(m, e)
+        neg = -w
+        assert (neg.order, neg.num, neg.den) == (m, tuple(-x for x in w.num), 1)
+        assert neg == Cyclo(m, [-c for c in w.coeffs])
+        if m % 2 == 0:
+            assert neg is Cyclo.root(m, e + m // 2)
+
+
+@pytest.mark.parametrize("m", [3, 8, 15, 240, 720])
+def test_root_inverse_is_the_opposite_root(m):
+    for e in (1, 7, m - 1):
+        w = Cyclo.root(m, e)
+        assert w.inverse() is Cyclo.root(m, -e)
+        assert (w * w.inverse()).is_one()
+    assert Cyclo.root(720, 7).inverse() is Cyclo.root(720, -7)
+
+
 def test_promote_is_a_ring_map_into_order_60():
     rng = random.Random(60)
     orders = [d for d in range(1, 61) if 60 % d == 0]

@@ -8,6 +8,8 @@ Every command runs in this process through `skewinv.cli.main`, against the
  - every `draw_queries` query of seeds 0-9 (perfbench/workloads.py);
  - the README commands, with the `present | verify-pres --stdin` pipe;
  - every digest command of tests/test_cli.py;
+ - two commands at a large root order (LARGE_ORDER), which reach the
+   root-power and mixed-order scalar paths of the product spans;
  - `molien ... gnk n k --N 60` for n, k <= 12;
  - the default `auslander` on G_(n,k) with n odd and nk <= 15, and on
    1/n(1,a) over q = w_5 with n <= 9;
@@ -62,6 +64,11 @@ TEST_CLI_SINGLE = [
     "auslander --algebra qminus1 --group gnk 3 3 --N 10",
     "auslander --algebra qminus1 --group gnk 3 3",
     "auslander --algebra qminus1 --group gnk 2 3 --N 12",
+]
+
+LARGE_ORDER = [
+    "generators --algebra qminus1 --group gnk 20 21 --verify 4",
+    "theta 1 12 --N 60",
 ]
 
 GNK_WORDS = ["e", "1", "g", "h", "g^0", "g^2*h", "h^3", "g*h*g", "h^2", "h*g^5*h"]
@@ -137,7 +144,7 @@ def commands() -> list[tuple[str, list[str], str | None]]:
     from workloads import draw_queries
 
     argvs = [argv for seed in range(10) for argv, _ in draw_queries(seed)]
-    argvs += [line.split() for line in README + TEST_CLI_SINGLE]
+    argvs += [line.split() for line in README + TEST_CLI_SINGLE + LARGE_ORDER]
     argvs += _test_cli_lists()
     argvs += [["molien", *QM1_GNK, str(n), str(k), "--N", "60"]
               for n in range(1, 13) for k in range(1, 13)]
