@@ -149,9 +149,13 @@ class SpanBuilder:
     """Incremental row space in echelon form: one row per pivot column, where
     the pivot is the row's smallest column and has coefficient 1.
 
-    With full_reduce, a new row's pivot column is cleared from the rows already
-    stored, but the new row keeps its entries at later pivot columns, so the
-    rows are not in general reduced; `rref` returns the reduced form."""
+    With full_reduce (the default) the rows are in reduced echelon form at all
+    times: no row has an entry at another row's pivot column.  So `reduce`
+    clears the pivot columns of a vector in one pass, since clearing one brings
+    in no other, and `add` clears the new pivot column from the stored rows.
+    Without it, `reduce` follows the leading entry down a chain of pivots and
+    `add` stores the residual as it is, so rows keep entries at later pivot
+    columns; the generic ideal span of `auslander` takes that cheaper form."""
 
     def __init__(self, full_reduce: bool = True, field=EXACT):
         self.rows: dict[int, dict] = {}  # pivot column -> row
@@ -163,12 +167,19 @@ class SpanBuilder:
         return len(self.rows)
 
     def reduce(self, vec: dict) -> dict:
-        """Residual of vec against the current span (vec is not modified)."""
-        axpy, neg = self.field.axpy, self.field.neg
+        """Residual of vec against the current span (vec is not modified).
+        With full_reduce it has no entry at any pivot column; otherwise only
+        its smallest column is not a pivot."""
+        axpy, neg, rows = self.field.axpy, self.field.neg, self.rows
         v = dict(vec)
+        if self.full_reduce:
+            # no row has an entry at another's pivot: clearing one brings in no other
+            for piv in [c for c in v if c in rows]:
+                axpy(v, rows[piv], neg(v[piv]))
+            return v
         while v:
             piv = min(v)
-            row = self.rows.get(piv)
+            row = rows.get(piv)
             if row is None:
                 return v
             axpy(v, row, neg(v[piv]))
@@ -198,21 +209,21 @@ class SpanBuilder:
         return [self.rows[p] for p in sorted(self.rows)]
 
 
-def rref(rows: list[dict], field=EXACT) -> tuple[list[dict], list[int]]:
+def rref(rows: list[dict], field=EXACT, rank: int | None = None) -> tuple[list[dict], list[int]]:
     """Reduced row echelon form of the span of sparse rows: (rows, pivot columns),
     pivots ascending.  Each row has a 1 at its pivot and nothing at any other
-    pivot column, so the result depends only on the span."""
-    span = SpanBuilder(full_reduce=False, field=field)
+    pivot column, so the result depends only on the span.
+
+    Given `rank`, the rows are read only until the span reaches that rank; no
+    later row is read.  When the caller knows that the span of all the rows has
+    rank at most `rank`, every later row lies in the span already read, so the
+    result is that of all the rows."""
+    span = SpanBuilder(field=field)
     for row in rows:
+        if span.rank == rank:
+            break
         span.add(row)
-    pivots = sorted(span.rows)
-    # back-substitute from the highest pivot down: the rows with higher pivots
-    # are already reduced, so clearing them from p's row brings in no pivot column
-    for p in reversed(pivots):
-        row = span.rows[p]
-        for q in [c for c in row if c != p and c in span.rows]:
-            field.axpy(row, span.rows[q], field.neg(row[q]))
-    return span.basis(), pivots
+    return span.basis(), sorted(span.rows)
 
 
 def nullspace(rows: list[dict], ncols: int) -> list[list[Cyclo]]:

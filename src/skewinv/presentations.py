@@ -295,7 +295,13 @@ class _QuotientDP:
             d += self.pres.gen_degrees[g]
         return vec
 
-    def extend_to(self, N: int) -> None:
+    def extend_to(self, N: int, lower: list[int] | None = None) -> None:
+        """Fill in degrees up to N.  Given `lower`, a list of lower bounds on
+        the dims over this field, degree d's relation rows are read only until
+        their rank reaches vdim - lower[d] (`rref`'s `rank`): the rank of all of
+        them is vdim - dim Q_d, at most that value, so the rows left unread lie
+        in the span read, and the RREF, pcols and dims are those of all the
+        rows."""
         field = self.field
         one, neg = field.one, field.neg
         while len(self.dims) <= N:
@@ -320,7 +326,8 @@ class _QuotientDP:
                         field.axpy(row, {base + t: z for t, z in tail_class.items()}, c)
                     if row:
                         rel_rows.append(row)
-            red, pivots = rref(rel_rows, field) if rel_rows else ([], [])
+            rank = None if lower is None else vdim - lower[d]
+            red, pivots = rref(rel_rows, field, rank) if rel_rows else ([], [])
             reduced = dict(zip(pivots, red))
             quot_index = {s: i for i, s in enumerate(s for s in range(vdim) if s not in reduced)}
             pcols: list[dict] = []
@@ -334,12 +341,20 @@ class _QuotientDP:
             self.pcols.append(pcols)
 
 
-def truncated_quotient_dims(pres: Presentation, N: int, field=EXACT) -> list[int]:
+def truncated_quotient_dims(
+    pres: Presentation, N: int, field=EXACT, lower: list[int] | None = None
+) -> list[int]:
     """dim of (free algebra modulo the relation ideal) in each degree 0..N over
     `field`: exact over the default Q(w_m), and an upper bound on the exact
-    dims over a `PrimeField` that the relation coefficients map into."""
+    dims over a `PrimeField` that the relation coefficients map into.
+
+    `lower`, when given, must hold lower bounds on the exact dims through N
+    (the rank of the generators' products, when every relation vanishes);
+    each degree's elimination then stops once the dim has come down to
+    lower[d].  The dims over `field` are at least the exact ones, so they can
+    come down no further, and the result is the same as without `lower`."""
     dp = _QuotientDP(pres, field)
-    dp.extend_to(N)
+    dp.extend_to(N, lower)
     return dp.dims[: N + 1]
 
 
@@ -364,13 +379,20 @@ def verify_presentation(
     products in A_d, whose exact rank L_d is then at most Q_d.  If L_d = U_d at
     every degree through N, Q_d = U_d ("certified_mod_p"); otherwise the exact
     DP runs ("exact").  Neither bound assumes that the generators generate or
-    that the Molien series is right."""
+    that the Molien series is right.
+
+    L is computed first, and the F_p DP takes it as `lower`: as
+    L_d <= Q_d <= U_d, each degree's elimination stops once U_d comes down to
+    L_d, and then every row left unread lies in the span read, so U_d and the
+    DP state are those of the full elimination.  If U_d never comes down to
+    L_d, every row is read and the certificate misses as it would anyway.  The
+    exact fallback DP reads every row."""
     assignment = generator_set(spec, G).generators
     evaluation = eval_relations(spec, assignment, pres)
     method = "exact"
     if evaluation["all_vanish"]:
-        quotient = truncated_quotient_dims(pres, N, _prime_field(pres))
         lower = [span.rank for span in subalgebra_spans(spec, assignment, N)]
+        quotient = truncated_quotient_dims(pres, N, _prime_field(pres), lower)
         if lower == quotient:
             method = "certified_mod_p"
     if method == "exact":

@@ -208,11 +208,17 @@ def reorder_rule(spec: AlgebraSpec, field=EXACT):
     their own field, an F_p or Q(w_m)."""
     if field is EXACT and spec._rule is not None:
         return spec._rule
-    if spec.is_quantum:
+    if spec.is_quantum and field is EXACT:
         q = spec.q
 
         def coeffs(j: int, i: int):
             return ((0, q ** (j * i)),)
+    elif spec.is_quantum:
+        # q is mapped into F_p once, and its powers are taken mod p there
+        q, p = field.coerce(spec.q), field.p
+
+        def coeffs(j: int, i: int):
+            return ((0, pow(q, j * i, p)),)
     else:
         coeffs = _jordan_reorder_coeffs
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewinv.linalg import PrimeField, SpanBuilder, _is_prime, nullspace, rref, vec_add_scaled
+from skewinv.linalg import EXACT, PrimeField, SpanBuilder, _is_prime, nullspace, rref, vec_add_scaled
 from skewinv.scalars import Cyclo, euler_phi
 
 W3 = Cyclo.root(3)
@@ -200,3 +200,48 @@ def test_rref_mod_p_reduces_the_images(case):
         span.add(row)
     assert all(span.contains(row) for row in images)
     assert rref(list(reversed(images)), field) == (red, pivots)
+
+
+def _in_field(rows, field):
+    """The rows as they are, or their images in the F_p `field`."""
+    if field is EXACT:
+        return rows
+    return [{c: r for c, x in row.items() if (r := field.coerce(x))} for row in rows]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_rows_of_known_rank(), st.sampled_from([EXACT, PrimeField(3)]))
+def test_span_rows_stay_reduced(case, field):
+    rows = _in_field(case[0], field)
+    span = SpanBuilder(field=field)
+    for k, row in enumerate(rows):
+        span.add(row)
+        for piv, stored in span.rows.items():
+            assert min(stored) == piv
+            assert not any(q in stored for q in span.rows if q != piv)
+        assert span.basis() == rref(rows[: k + 1], field)[0]
+
+
+class _Unreadable(dict):
+    """A row that fails the test when it is read."""
+
+    def _fail(self, *args):
+        raise AssertionError("rref read a row after its span reached the rank")
+
+    items = keys = values = get = __iter__ = __contains__ = __getitem__ = __len__ = _fail
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_rows_of_known_rank(), st.sampled_from([EXACT, PrimeField(3)]))
+def test_rref_stops_at_the_given_rank(case, field):
+    rows = _in_field(case[0], field)
+    full = rref(rows, field)
+    rank = len(full[1])
+    span, k = SpanBuilder(field=field), 0
+    while span.rank < rank:
+        span.add(rows[k])
+        k += 1
+    # rows[k] is never read: the first k rows already reach the rank
+    assert rref(rows[:k] + [_Unreadable()] + rows[k:], field, rank) == full
+    # a rank that is never reached reads every row
+    assert rref(rows, field, rank + 1) == full

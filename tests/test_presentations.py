@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 
 from skewinv.errors import ParameterError
 from skewinv.group_actions import GroupSpec
-from skewinv.invariants import generator_set, molien
+from skewinv import presentations
+from skewinv.invariants import generator_set, molien, subalgebra_spans
 from skewinv.linalg import SpanBuilder
 from skewinv.presentations import (
     FreeWord,
     Presentation,
     _prime_field,
+    _QuotientDP,
     discover_relations,
     eval_relations,
     gnk73_presentation,
@@ -456,3 +458,72 @@ def test_fallback_cases_break_the_bounds_they_target():
     dropped = _jordan3_variant(_drop_last)
     target = molien(JORDAN, G, 18).integer_coeffs()
     assert any(q > t for q, t in zip(truncated_quotient_dims(dropped, 18), target))
+
+
+def _jordan_case(n):
+    G = GroupSpec.cyclic(n, 1, JORDAN)
+    return JORDAN, G, jordan_presentation(n), 6 * n
+
+
+def _quantum_case(n, a, m):
+    q = Cyclo.root(m)
+    spec = AlgebraSpec.quantum(q)
+    return spec, GroupSpec.cyclic(n, a, spec), quantum_presentation(n, a, q), 8 * n
+
+
+# the criterion-3 fixtures of the presentations benchmark, and Jordan n = 5
+DP_CASES = {
+    "jordan2": lambda: _jordan_case(2),
+    "jordan3": lambda: _jordan_case(3),
+    "jordan4": lambda: _jordan_case(4),
+    "jordan5": lambda: _jordan_case(5),
+    "quantum5_2": lambda: _quantum_case(5, 2, 5),
+    "quantum7_3": lambda: _quantum_case(7, 3, 7),
+    "quantum4_1": lambda: _quantum_case(4, 1, 3),
+    "gnk73": lambda: (QM1, GroupSpec.gnk(7, 3), gnk73_presentation(), 60),
+}
+
+
+def _product_ranks(spec, G, N):
+    """L_d: the exact rank of the generators' products in each degree through N."""
+    return [span.rank for span in subalgebra_spans(spec, generator_set(spec, G).generators, N)]
+
+
+@pytest.mark.parametrize("case", DP_CASES.values(), ids=DP_CASES.keys())
+def test_quotient_dp_with_lower_bounds_keeps_its_state(case):
+    spec, G, pres, N = case()
+    lower = _product_ranks(spec, G, N)
+    field = _prime_field(pres)
+    plain, bounded = _QuotientDP(pres, field), _QuotientDP(pres, field)
+    plain.extend_to(N)
+    bounded.extend_to(N, lower)
+    assert bounded.dims == plain.dims == lower
+    assert bounded.pcols == plain.pcols
+
+
+def test_quotient_dp_reads_every_row_when_the_bound_is_not_reached(monkeypatch):
+    G = GroupSpec.cyclic(4, 1, JORDAN)
+    full = jordan_presentation(4)
+    dropped = Presentation(full.gen_degrees, full.relations[:-1], full.gen_names)
+    N = 16
+    assert eval_relations(JORDAN, generator_set(JORDAN, G).generators, dropped)["all_vanish"]
+    lower = _product_ranks(JORDAN, G, N)
+    field = _prime_field(dropped)
+    upper = truncated_quotient_dims(dropped, N, field)
+    calls = []
+    plain_rref = presentations.rref
+
+    def spy(rows, field, rank=None):
+        red, pivots = plain_rref(rows, field, rank)
+        calls.append((rank, len(pivots)))
+        return red, pivots
+
+    monkeypatch.setattr(presentations, "rref", spy)
+    assert truncated_quotient_dims(dropped, N, field, lower) == upper
+    monkeypatch.undo()
+    assert upper != lower
+    # where U_d > L_d the stop is never reached, so every row is read
+    assert any(got < rank for rank, got in calls)
+    report = verify_presentation(JORDAN, G, dropped, N)
+    assert report["quotient_method"] == "exact"
+    assert report["quotient_dims"] == truncated_quotient_dims(dropped, N)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -6,6 +7,7 @@ import pytest
 from conftest import key_matrix
 
 from skewinv.errors import InvalidAutomorphismError, ParameterError
+from skewinv.linalg import PrimeField
 from skewinv.scalars import Cyclo, gen_binomial
 from skewinv.skew_algebra import (
     AlgebraElt,
@@ -18,6 +20,7 @@ from skewinv.skew_algebra import (
     power,
     relation_image_scalar,
     reorder,
+    reorder_rule,
     to_text,
     _jordan_reorder_coeffs,
     validate_automorphism,
@@ -89,6 +92,18 @@ def test_jordan_reorder_coeffs_match_binomial_formula():
             got = _jordan_reorder_coeffs(i, j)
             assert list(got) == expected, (i, j)
             assert all(type(c) is int for _, c in got)
+
+
+@pytest.mark.parametrize("q", [Cyclo.root(5), Cyclo.root(12, 7), Cyclo.from_rational(-1),
+                               Cyclo.from_rational(2), Cyclo.from_rational(Fraction(2, 3))],
+                         ids=["w5", "w12^7", "minus1", "two", "two_thirds"])
+def test_mod_p_rule_is_the_image_of_the_exact_rule(q):
+    spec = AlgebraSpec.quantum(q)
+    field = PrimeField.for_scalars([q])
+    exact, mod_p = reorder_rule(spec), reorder_rule(spec, field)
+    for j in range(12):
+        for i in range(12):
+            assert mod_p(j, i) == tuple((k, field.coerce(c)) for k, c in exact(j, i))
 
 
 def test_reorder_jordan_21():

@@ -6,13 +6,16 @@
 Every command runs in this process through `skewinv.cli.main`, against the
 `src/` of the checkout that holds this file.  The set:
  - every `draw_queries` query of seeds 0-9 (perfbench/workloads.py);
- - the README commands, with the `present | verify-pres --stdin` pipe;
+ - the README commands, with the `present | verify-pres --stdin` pipe, and
+   `verify-pres --stdin` on presentations with one relation dropped;
  - every digest command of tests/test_cli.py;
  - two commands at a large root order (LARGE_ORDER), which reach the
    root-power and mixed-order scalar paths of the product spans;
  - `molien ... gnk n k --N 60` for n, k <= 12;
  - the default `auslander` on G_(n,k) with n odd and nk <= 15, and on
    1/n(1,a) over q = w_5 with n <= 9;
+ - `verify-pres` on Jordan n = 2..6 and the quantum and G_(7,3) fixtures at
+   the default N, and on a rational q;
  - `trace ... --N 9` on the words of GNK_WORDS for G_(n,k) with n, k <= 7,
    on `g h g^3*h` for G_(20,20), G_(13,9) and G_(30,7), and on the words of
    CYCLIC_WORDS for 1/n(1,a) with n <= 9 and 0 <= a < n over each plane of
@@ -78,6 +81,15 @@ TRACE_PLANES = [["--algebra", "jordan"], ["--algebra", "commutative"], ["--algeb
                 ["--algebra", "quantum", "--q", "root:12"],
                 ["--algebra", "quantum", "--q", "2/3"]]
 
+VERIFY_PRES = [
+    *(f"verify-pres --family jordan --n {n}" for n in range(2, 7)),
+    "verify-pres --family quantum --n 5 --a 2 --q root:5",
+    "verify-pres --family quantum --n 7 --a 3 --q root:7",
+    "verify-pres --family quantum --n 4 --a 1 --q root:3",
+    "verify-pres --family gnk73",
+    "verify-pres --family quantum --n 5 --a 2 --q 2",
+]
+
 STDIN_ARGS = ["verify-pres", "--stdin", "--algebra", "jordan", "--group", "cyclic"]
 
 
@@ -108,20 +120,34 @@ def _test_cli_lists() -> list[list[str]]:
     return out
 
 
+def _dropped(present: list[str], index: int) -> str:
+    """The presentation JSON that `present` prints, with relation `index` removed."""
+    pres = json.loads(run(present)[1])["presentation"]
+    del pres["relations"][index]
+    return json.dumps(pres)
+
+
 def _stdin_cases() -> list[tuple[str, list[str], str]]:
-    """(label, argv, stdin): the README pipe, and the two altered Jordan n = 3
-    presentations whose digests tests/test_cli.py pins."""
+    """(label, argv, stdin): the README pipe, the two altered Jordan n = 3
+    presentations whose digests tests/test_cli.py pins, and one relation
+    dropped from Jordan n = 4 and from the quantum 1/5(1,2) fixture."""
     _, text = run(["present", "--family", "jordan", "--n", "3"])
     pres = json.loads(text)["presentation"]
     wrong = json.loads(json.dumps(pres))
     wrong["relations"][0][0]["coeff"]["coeffs"] = ["2"]
-    dropped = json.loads(json.dumps(pres))
-    del dropped["relations"][-1]
     argv = STDIN_ARGS + ["3", "1", "--N", "18"]
+    argv4 = STDIN_ARGS + ["4", "1", "--N", "16"]
+    argv_q = ["verify-pres", "--stdin", "--algebra", "quantum", "--q", "root:5",
+              "--group", "cyclic", "5", "2"]
     return [
         ("present --family jordan --n 3 | " + " ".join(argv), argv, text),
         ("<wrong coefficient> | " + " ".join(argv), argv, json.dumps(wrong)),
-        ("<relation dropped> | " + " ".join(argv), argv, json.dumps(dropped)),
+        ("<relation dropped> | " + " ".join(argv), argv,
+         _dropped(["present", "--family", "jordan", "--n", "3"], -1)),
+        ("<jordan 4, relation dropped> | " + " ".join(argv4), argv4,
+         _dropped(["present", "--family", "jordan", "--n", "4"], -1)),
+        ("<quantum 1/5(1,2), first relation dropped> | " + " ".join(argv_q), argv_q,
+         _dropped(["present", "--family", "quantum", "--n", "5", "--a", "2", "--q", "root:5"], 0)),
     ]
 
 
@@ -144,7 +170,7 @@ def commands() -> list[tuple[str, list[str], str | None]]:
     from workloads import draw_queries
 
     argvs = [argv for seed in range(10) for argv, _ in draw_queries(seed)]
-    argvs += [line.split() for line in README + TEST_CLI_SINGLE + LARGE_ORDER]
+    argvs += [line.split() for line in README + TEST_CLI_SINGLE + LARGE_ORDER + VERIFY_PRES]
     argvs += _test_cli_lists()
     argvs += [["molien", *QM1_GNK, str(n), str(k), "--N", "60"]
               for n in range(1, 13) for k in range(1, 13)]
