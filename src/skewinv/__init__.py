@@ -7,7 +7,6 @@ from .scalars import Cyclo, IntPolynomial, Rational, cyclotomic_polynomial, gen_
 from .skew_algebra import (
     AlgebraElt,
     AlgebraSpec,
-    Mat2,
     Monomial,
     apply_aut,
     mul,

@@ -16,11 +16,7 @@ class CycloDivisionError(SkewInvError, ZeroDivisionError):
 
 
 class InvalidAutomorphismError(SkewInvError, ValueError):
-    """A matrix is not a graded automorphism of the given algebra."""
-
-
-class InfiniteOrderError(SkewInvError, ValueError):
-    """An automorphism of infinite order where a finite one is required."""
+    """A group element's key does not act on the given algebra."""
 
 
 class InternalInconsistencyError(SkewInvError, RuntimeError):

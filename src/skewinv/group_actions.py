@@ -14,11 +14,9 @@ has one home: `skew_algebra.monomial_action` is how a key acts on u^i v^j
 `GroupSpec.swap_key` the split G = D + tD (D diagonal), `GroupSpec.char_number`
 the numbering of D's characters on monomials, `Gnk.coincides_with` the
 coincidence G_(n,k) = G_(n/2,k), and one rule each decides quasi-reflections
-and hdet.  `apply_aut`, the traces, hdet and the quasi-reflection test also
-take a general `Mat2`, on the matrix paths that the tests hold the key rules
-against; a matrix is decided from its trace, determinant and hdet, by one
-finite-order rule (`_check_finite_order`) and the quasi-reflection condition
-tr = 1 + hdet, hdet != 1 read off the closed form of its trace series.
+and hdet.  `apply_aut`, the traces, hdet and the quasi-reflection test take
+a pair only; the general-matrix reference that the tests hold them against
+lives beside the tests, in tests/matrix_oracle.py.
 """
 
 from __future__ import annotations
@@ -26,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import InfiniteOrderError, InternalInconsistencyError, ParameterError
-from .scalars import Cyclo, lcm
-from .skew_algebra import AlgebraSpec, Mat2, _coerce_scalar, image_powers, monomial_action, mul
-from .skew_algebra import validate_automorphism
+from .errors import InternalInconsistencyError, ParameterError
+from .scalars import Cyclo
+from .skew_algebra import AlgebraSpec, _coerce_scalar, monomial_action
 
 
 MonoKey = tuple[bool, int, int]
@@ -310,20 +307,6 @@ class RationalFunction:
         if self.den[0].is_zero():
             raise ParameterError("denominator must be invertible at t = 0")
 
-    @staticmethod
-    def from_factors(factors: list[list]) -> "RationalFunction":
-        """1 / product(factors), each factor a polynomial coefficient list."""
-        den = [Cyclo.one()]
-        for f in factors:
-            fc = [_coerce_scalar(c) for c in f]
-            out = [Cyclo.zero()] * (len(den) + len(fc) - 1)
-            for i, x in enumerate(den):
-                if not x.is_zero():
-                    for j, y in enumerate(fc):
-                        out[i + j] = out[i + j] + x * y
-            den = out
-        return RationalFunction([Cyclo.one()], den)
-
     def expand(self, N: int) -> TruncatedSeries:
         d0inv = self.den[0].inverse()
         coeffs: list[Cyclo] = []
@@ -346,20 +329,17 @@ class RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def trace_closed_form(spec: AlgebraSpec, g: Mat2 | GroupElt) -> RationalFunction:
+def trace_closed_form(spec: AlgebraSpec, g: GroupElt) -> RationalFunction:
     """Tr_A(g, t) = 1 / (1 - tr(g|A_1) t + hdet(g) t^2) for every valid g.
 
     A is Koszul with one quadratic relation r, so its minimal resolution
     0 -> A(-2) (x) kr -> A(-1) (x) A_1 -> A -> k -> 0 is g-equivariant, and g
     acts on the relation line kr by hdet(g) (Jorgensen and Zhang, Adv. Math.
     151, 2000).  Taking graded traces along it gives
-    Tr_A(g, t) (1 - tr(g|A_1) t + hdet(g) t^2) = 1.  For a pair, tr(g|A_1)
-    is w^e1 + w^e2 when g is diagonal and 0 when it swaps u and v."""
-    if isinstance(g, Mat2):
-        tr = g.a + g.d
-    else:
-        m, key = g
-        tr = Cyclo.from_power_counts(m, trace_counts(spec, m, key, 1)) if key[0] else Cyclo.zero()
+    Tr_A(g, t) (1 - tr(g|A_1) t + hdet(g) t^2) = 1.  For g = (m, key),
+    tr(g|A_1) is w^e1 + w^e2 when g is diagonal and 0 when it swaps u and v."""
+    m, key = g
+    tr = Cyclo.from_power_counts(m, trace_counts(spec, m, key, 1)) if key[0] else Cyclo.zero()
     one = Cyclo.one()
     return RationalFunction([one], [one, -tr, hdet(spec, g)])
 
@@ -385,23 +365,15 @@ def trace_counts(spec: AlgebraSpec, m: int, key: MonoKey, d: int) -> list[int]:
     return counts
 
 
-def trace_series(spec: AlgebraSpec, g: Mat2 | GroupElt, N: int) -> TruncatedSeries:
-    """Trace of g on each degree d <= N: a pair by its `trace_counts`, a
-    matrix by acting on the monomial basis and summing diagonals."""
-    if not isinstance(g, Mat2):
-        m, key = g
-        return TruncatedSeries(
-            [Cyclo.from_power_counts(m, trace_counts(spec, m, key, d)) for d in range(N + 1)]
-        )
-    validate_automorphism(spec, g)
-    pows_u, pows_v = image_powers(spec, g, N)
+def trace_series(spec: AlgebraSpec, g: GroupElt, N: int) -> TruncatedSeries:
+    """Trace of g = (m, key) on each degree d <= N, by its `trace_counts`."""
+    m, key = g
     return TruncatedSeries(
-        [sum((mul(spec, pows_u[i], pows_v[d - i]).coefficient(i, d - i) for i in range(d + 1)),
-             Cyclo.zero()) for d in range(N + 1)]
+        [Cyclo.from_power_counts(m, trace_counts(spec, m, key, d)) for d in range(N + 1)]
     )
 
 
-def trace(spec: AlgebraSpec, g: Mat2 | GroupElt, N: int) -> tuple[TruncatedSeries, RationalFunction]:
+def trace(spec: AlgebraSpec, g: GroupElt, N: int) -> tuple[TruncatedSeries, RationalFunction]:
     """(truncated trace series, closed form)."""
     return trace_series(spec, g, N), trace_closed_form(spec, g)
 
@@ -409,35 +381,6 @@ def trace(spec: AlgebraSpec, g: Mat2 | GroupElt, N: int) -> tuple[TruncatedSerie
 # ---------------------------------------------------------------------------
 # quasi-reflections, hdet, classification
 # ---------------------------------------------------------------------------
-
-
-def _check_finite_order(g: Mat2) -> None:
-    """Raise InfiniteOrderError unless the matrix g has finite order.
-
-    Let tr = a + d and det = ad - bc.  If tr^2 = 4 det, g has the one
-    eigenvalue tr/2 and finite order iff it is diagonalizable, g = (tr/2) I,
-    with tr/2 a root of unity; so [[a, b], [0, a]] with b != 0 has infinite
-    order.  Otherwise its eigenvalues l1 != l2 are distinct, g is
-    diagonalizable, and it has finite order iff det = l1 l2 and z = l1 / l2
-    are roots of unity (l1^2 = det z).  z is a root of z^2 - s z + 1 with
-    s = tr^2 / det - 2, so c_k = z^k + z^-k has c_1 = s, c_(2k) = c_k^2 - 2
-    and c_(2k+1) = c_k c_(k+1) - s, and z^k = 1 iff c_k = 2 (x + 1/x = 2 iff
-    x = 1).  z lies in a quadratic extension of Q(w_M), M the lcm of the
-    entries' orders; if z has order n, that extension holds w_(rM) with
-    rM = lcm(n, M), so phi(r) phi(M) <= phi(rM) <= 2 phi(M), r is 1, 2, 3, 4
-    or 6, and n divides 12 M.  So z is a root of unity iff c_(12 M) = 2."""
-    tr, det = g.a + g.d, g.det()
-    if tr * tr == 4 * det:
-        if g.b.is_zero() and g.c.is_zero() and g.a.is_root_of_unity():
-            return
-    elif det.is_root_of_unity():
-        s = tr * tr / det - 2
-        c, c1 = s, s * s - 2  # (c_k, c_(k+1)), k running over the prefixes of 12 M in binary
-        for bit in bin(12 * lcm(lcm(g.a.order, g.b.order), lcm(g.c.order, g.d.order)))[3:]:
-            c, c1 = (c * c1 - s, c1 * c1 - 2) if bit == "1" else (c * c - 2, c * c1 - s)
-        if c == 2:
-            return
-    raise InfiniteOrderError("matrix has infinite order")
 
 
 def _quasi_reflection_rule(spec: AlgebraSpec, m: int, key: MonoKey) -> bool:
@@ -465,30 +408,22 @@ def _hdet_rule(spec: AlgebraSpec, m: int, key: MonoKey) -> tuple[int, int]:
     return (-1 if swap and not c else 1), (a + b) % m
 
 
-def is_quasi_reflection(spec: AlgebraSpec, g: Mat2 | GroupElt) -> bool:
+def is_quasi_reflection(spec: AlgebraSpec, g: GroupElt) -> bool:
     """g is a quasi-reflection when Tr_A(g, t) = 1 / ((1 - t) q(t)) with
     q(1) != 0 (Kirkman, Kuzmanovich and Zhang, Trans. AMS 360, 2008).  By
     `trace_closed_form`, that is 1 - tr t + hdet t^2 = (1 - t)(1 - hdet t):
-    tr = 1 + hdet and hdet != 1.  The key rule states it for a pair; a matrix
-    of finite order is tested directly.  The tests hold both against a
-    trace-series oracle."""
-    if not isinstance(g, Mat2):
-        return _quasi_reflection_rule(spec, *g)
-    h = validate_automorphism(spec, g)
-    _check_finite_order(g)
-    return g.a + g.d == 1 + h and not h.is_one()
+    tr = 1 + hdet and hdet != 1, which `_quasi_reflection_rule` states for
+    g = (m, key).  The tests hold it against a trace-series oracle."""
+    return _quasi_reflection_rule(spec, *g)
 
 
-def hdet(spec: AlgebraSpec, g: Mat2 | GroupElt) -> Cyclo:
-    """Homological determinant: the scalar by which g acts on the relation
-    line, by the key rule for a pair (its exponent histogram reduced, no root
-    table) and from the relation's image for a matrix, which
-    `validate_automorphism` checks and returns."""
-    if not isinstance(g, Mat2):
-        m, key = g
-        sign, e = _hdet_rule(spec, m, key)
-        return Cyclo.from_power_counts(m, [0] * e + [sign])
-    return validate_automorphism(spec, g)
+def hdet(spec: AlgebraSpec, g: GroupElt) -> Cyclo:
+    """Homological determinant: the scalar by which g = (m, key) acts on the
+    relation line, by `_hdet_rule` (its exponent histogram reduced, no root
+    table)."""
+    m, key = g
+    sign, e = _hdet_rule(spec, m, key)
+    return Cyclo.from_power_counts(m, [0] * e + [sign])
 
 
 def is_small_closed_form(G: GroupSpec) -> bool:

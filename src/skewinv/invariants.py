@@ -162,11 +162,6 @@ def _nc_generators(spec: AlgebraSpec, n: int, k: int) -> list[AlgebraElt]:
     return _from_exponents(spec, nc_series(n, k).generator_exponents())
 
 
-def typeD_generators(spec: AlgebraSpec, m: int, q: int) -> list[AlgebraElt]:
-    """(u^(2qs) + (-1)^t v^(2qs)) (uv)^r generators of the D_{m,q} invariants."""
-    return _from_exponents(spec, typeD_data(m, q).generator_exponents())
-
-
 def generator_set(spec: AlgebraSpec, G: GroupSpec) -> GeneratorSet:
     """Explicit generators of A^G for each classification case."""
     if spec.is_commutative:
@@ -342,6 +337,8 @@ def gnk_basis(n: int, k: int, d: int) -> list[AlgebraElt]:
     """Basis elements of (A^{G_{n,k}})_d for n, k odd coprime:
     (u^(ns) + (-1)^(r+ns) v^(ns)) (uv)^r over solutions of 2r + ns = kt,
     plus (uv)^(2ki) when d = 4ki."""
+    if n < 1 or k < 1:
+        raise ParameterError(f"gnk_basis needs positive n, k, got G_({n},{k})")
     if n % 2 == 0 or k % 2 == 0 or gcd(n, k) != 1:
         raise ParameterError("gnk_basis needs n, k odd and coprime")
     if d < 0:

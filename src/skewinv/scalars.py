@@ -316,13 +316,6 @@ class Cyclo:
     def is_one(self) -> bool:
         return self.den == 1 and self.num[0] == 1 and self.is_rational()
 
-    def is_root_of_unity(self) -> bool:
-        """True iff self generates a finite multiplicative group (so lies in <±w>)."""
-        if self.is_zero():
-            return False
-        L = lcm(2, self.order)
-        return (self ** L).is_one()
-
     def _root_power_exp(self) -> int | None:
         """e with self == w_order^e, or None (powers this cheap drive hot paths)."""
         e = self._rexp

@@ -288,104 +288,6 @@ def power(spec: AlgebraSpec, a: AlgebraElt, n: int) -> AlgebraElt:
     return res
 
 
-class Mat2:
-    """2x2 matrix over Q(w_m) acting by u -> a*u + c*v, v -> b*u + d*v."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        self.a = _coerce_scalar(a)
-        self.b = _coerce_scalar(b)
-        self.c = _coerce_scalar(c)
-        self.d = _coerce_scalar(d)
-
-    @classmethod
-    def diagonal(cls, a, d) -> "Mat2":
-        return cls(a, 0, 0, d)
-
-    @classmethod
-    def antidiagonal(cls, b, c) -> "Mat2":
-        return cls(0, b, c, 0)
-
-    def det(self) -> Cyclo:
-        return self.a * self.d - self.b * self.c
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def entries(self) -> tuple[Cyclo, Cyclo, Cyclo, Cyclo]:
-        return (self.a, self.b, self.c, self.d)
-
-    def key_at(self, m: int) -> tuple:
-        return tuple(x.key_at(m) for x in self.entries())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return all(x == y for x, y in zip(self.entries(), other.entries()))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"Mat2([[{self.a}, {self.b}], [{self.c}, {self.d}]])"
-
-
-def _relation_vector(spec: AlgebraSpec) -> list[Cyclo]:
-    """Defining relation in the degree-2 free-algebra basis (uu, uv, vu, vv)."""
-    zero, one = Cyclo.zero(), Cyclo.one()
-    if spec.is_quantum:
-        return [zero, -spec.q, one, zero]
-    return [-one, -one, one, zero]
-
-
-def relation_image_scalar(spec: AlgebraSpec, M: Mat2) -> Cyclo | None:
-    """Scalar by which M acts on the relation line, or None if the line moves.
-
-    The lift of M to the free algebra sends the relation r to lambda * r
-    exactly when M is a graded automorphism of the algebra; lambda is then
-    the homological determinant.
-    """
-    a, b, c, d = M.entries()
-    # images of the degree-2 free words in the basis (uu, uv, vu, vv):
-    # u maps to a*u + c*v and v maps to b*u + d*v, so e.g. vu -> (b u + d v)(a u + c v)
-    img = [
-        [a * a, a * c, c * a, c * c],  # uu
-        [a * b, a * d, c * b, c * d],  # uv
-        [b * a, b * c, d * a, d * c],  # vu
-        [b * b, b * d, d * b, d * d],  # vv
-    ]
-    rel = _relation_vector(spec)
-    out = [Cyclo.zero()] * 4
-    for w in range(4):
-        if not rel[w].is_zero():
-            for k in range(4):
-                out[k] = out[k] + rel[w] * img[w][k]
-    # solve out == lambda * rel: the vu coefficient of rel is 1 on every plane
-    lam = out[2]
-    if any(not (out[k] - lam * rel[k]).is_zero() for k in range(4)):
-        return None
-    return lam
-
-
-def validate_automorphism(spec: AlgebraSpec, M: Mat2) -> Cyclo:
-    """Raise InvalidAutomorphismError unless M is a graded automorphism of
-    spec; return the scalar by which it acts on the relation line."""
-    if M.det().is_zero():
-        raise InvalidAutomorphismError("matrix is not invertible (det = 0)")
-    lam = relation_image_scalar(spec, M)
-    if lam is None:
-        raise InvalidAutomorphismError(
-            f"matrix does not preserve the defining relation of {spec.describe()}: "
-            + _shape_hint(spec)
-        )
-    return lam
-
-
 def _shape_hint(spec: AlgebraSpec) -> str:
     if spec.kind == "jordan":
         return "valid maps have the form [[a, b], [0, a]]"
@@ -425,36 +327,13 @@ def monomial_action(spec: AlgebraSpec, m: int, key: tuple) -> tuple[bool, int, i
     return True, e2, e1, m // 2
 
 
-def apply_aut(spec: AlgebraSpec, M: Mat2 | tuple, elt: AlgebraElt) -> AlgebraElt:
-    """Apply a graded automorphism to elt.  A group element (m, key) maps
-    each term by `monomial_action`, which also rejects a key that does not
-    act.  A `Mat2` M is checked, then substitutes
-    u -> a u + c v, v -> b u + d v, expands and normalizes: the reference
-    that the tests hold the key path against."""
-    if not isinstance(M, Mat2):
-        m, key = M
-        swap, ea, eb, ec = monomial_action(spec, m, key)
-        out = AlgebraElt()
-        for (i, j), coeff in elt.terms.items():
-            mon = Monomial(j, i) if swap else Monomial(i, j)
-            out.terms[mon] = coeff * Cyclo.root(m, ea * i + eb * j + ec * i * j)
-        return out
-    validate_automorphism(spec, M)
-    pows_u, pows_v = image_powers(spec, M, elt.degree())
-    res = AlgebraElt.zero()
+def apply_aut(spec: AlgebraSpec, g: tuple, elt: AlgebraElt) -> AlgebraElt:
+    """Apply the group element g = (m, key) to elt: each term maps by
+    `monomial_action`, which also rejects a key that does not act."""
+    m, key = g
+    swap, ea, eb, ec = monomial_action(spec, m, key)
+    out = AlgebraElt()
     for (i, j), coeff in elt.terms.items():
-        res = res + mul(spec, pows_u[i], pows_v[j]).scale(coeff)
-    return res
-
-
-def image_powers(spec: AlgebraSpec, M: Mat2, n: int) -> tuple[list[AlgebraElt], list[AlgebraElt]]:
-    """The images (a u + c v)^i of u^i and (b u + d v)^i of v^i under the
-    substitution of M, for 0 <= i <= n (M is not checked)."""
-    a, b, c, d = M.entries()
-    img_u = AlgebraElt({Monomial(1, 0): a, Monomial(0, 1): c})
-    img_v = AlgebraElt({Monomial(1, 0): b, Monomial(0, 1): d})
-    pows_u, pows_v = [AlgebraElt.one()], [AlgebraElt.one()]
-    for _ in range(n):
-        pows_u.append(mul(spec, pows_u[-1], img_u))
-        pows_v.append(mul(spec, pows_v[-1], img_v))
-    return pows_u, pows_v
+        mon = Monomial(j, i) if swap else Monomial(i, j)
+        out.terms[mon] = coeff * Cyclo.root(m, ea * i + eb * j + ec * i * j)
+    return out

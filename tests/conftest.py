@@ -2,17 +2,40 @@ from math import gcd
 
 import pytest
 
-from skewinv.group_actions import GroupSpec
+from matrix_oracle import Mat2
+
+from skewinv.group_actions import GroupSpec, RationalFunction
+from skewinv.hj_series import typeD_data
+from skewinv.invariants import _from_exponents
 from skewinv.scalars import Cyclo
-from skewinv.skew_algebra import AlgebraSpec, Mat2
+from skewinv.skew_algebra import AlgebraSpec
 
 
 def key_matrix(m, key):
     """The Mat2 of the group element (m, key), its entries built with
-    `Cyclo.root`: the matrix oracle the key rules are held against."""
+    `Cyclo.root`: what the tests hand to `matrix_oracle`."""
     diagonal, e1, e2 = key
     x, y = Cyclo.root(m, e1), Cyclo.root(m, e2)
     return Mat2.diagonal(x, y) if diagonal else Mat2.antidiagonal(x, y)
+
+
+def from_factors(factors: list[list]) -> RationalFunction:
+    """1 / product(factors), each factor a polynomial coefficient list."""
+    den = [Cyclo.one()]
+    for f in factors:
+        fc = [Cyclo.from_rational(c) for c in f]
+        out = [Cyclo.zero()] * (len(den) + len(fc) - 1)
+        for i, x in enumerate(den):
+            if not x.is_zero():
+                for j, y in enumerate(fc):
+                    out[i + j] = out[i + j] + x * y
+        den = out
+    return RationalFunction([Cyclo.one()], den)
+
+
+def typeD_generators(spec, m: int, q: int):
+    """(u^(2qs) + (-1)^t v^(2qs)) (uv)^r generators of the D_{m,q} invariants."""
+    return _from_exponents(spec, typeD_data(m, q).generator_exponents())
 
 
 @pytest.fixture(scope="session")

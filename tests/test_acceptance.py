@@ -6,7 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 import time
 from math import gcd
 
-from conftest import key_matrix
+from conftest import from_factors, key_matrix
 
 from skewinv.auslander import finite_dim_witness, verify_GH_identities
 from skewinv.group_actions import (
@@ -58,7 +58,7 @@ def test_criterion_1_molien_fixture():
     series = molien(QM1, GroupSpec.gnk(7, 3), 60)
     num = [0] * 52
     num[0], num[30], num[33], num[36], num[48], num[51] = 1, -1, -1, -1, 1, 1
-    den = RationalFunction.from_factors(
+    den = from_factors(
         [one_minus_t(15), one_minus_t(9), one_minus_t(21), one_minus_t(12)]
     ).den
     expected = RationalFunction(num, den).expand(60)
@@ -265,7 +265,7 @@ def test_criterion_7_theta_correspondences():
     rec = theta_correspondence(2, 1, N=40)
     assert rec["target"] == {"kind": "cyclic", "order": 4, "weight": 3}
     assert rec["evidence"]["molien_equal"]
-    den = RationalFunction.from_factors(
+    den = from_factors(
         [one_minus_t(4), one_minus_t(4), one_minus_t(2)]
     ).den
     closed = RationalFunction([1, 0, 0, 0, 0, 0, 0, 0, -1], den).expand(40)

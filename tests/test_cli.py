@@ -1,9 +1,13 @@
+import contextlib
 import hashlib
 import io
 import json
+import signal
 import sys
 
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
 from skewinv.cli import main
 
@@ -447,6 +451,34 @@ def test_gnk_basis_command(capsys):
     assert payload["basis"] == ["-1 * u^1 * v^8 + 1 * u^8 * v^1"]
 
 
+def test_gnk_basis_rejects_non_positive_n_k(capsys):
+    # n = -1 passed the "odd and coprime" check, and a non-positive n or k
+    # answered for a group that does not exist
+    for n, k, d in (("3", "-1", "9"), ("-1", "3", "2"), ("0", "3", "3"), ("1", "-1", "4")):
+        code, out, err = run_cli(capsys, "gnk-basis", n, k, "--d", d)
+        assert (code, out) == (1, "")
+        assert err == f"error: gnk_basis needs positive n, k, got G_({n},{k})\n"
+
+
+def test_gnk_basis_negative_n_exits_promptly():
+    # `while n * s <= d` never ended for n = -1; a subprocess timeout turns
+    # a stall into a failure instead of a hung suite
+    import os
+    import subprocess
+
+    import skewinv
+
+    src = os.path.dirname(os.path.dirname(skewinv.__file__))
+    argv = [sys.executable, "-m", "skewinv.cli", "gnk-basis", "-1", "3", "--d", "9"]
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=10, env=env)
+    except subprocess.TimeoutExpired:
+        pytest.fail("gnk-basis -1 3 --d 9 did not return in 10 s")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: gnk_basis needs positive n, k, got G_(-1,3)\n"
+
+
 def test_theta_command(capsys):
     code, out, _ = run_cli(capsys, "theta", "2", "1", "--N", "16")
     assert code == 0
@@ -643,3 +675,83 @@ def test_verify_pres_stdin_fallback_stdout_unchanged(capsys, change, digest):
     assert code == 0
     assert json.loads(out)["ok"] is False
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_FUZZ_QMINUS1 = ["--algebra", "qminus1"]
+# the last four planes are rejected
+_FUZZ_PLANES = [
+    _FUZZ_QMINUS1,
+    ["--algebra", "jordan"],
+    ["--algebra", "commutative"],
+    *(["--algebra", "quantum", "--q", q] for q in ("root:5", "root:3", "-1", "2", "root:0", "1/0", "x")),
+    ["--algebra", "quantum"],
+]
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """One small command: classify, trace, molien, gnk-basis, hj or theta,
+    its parameters in [-2, 6] and N, d in [-1, 8]; trace words are drawn
+    from the word alphabet, malformed ones included.  Group kinds, planes,
+    parameter counts and group parameters lean towards valid values, so
+    that about a quarter of the commands reach a computation."""
+    small = st.integers(-2, 6).map(str)
+    size = (st.integers(0, 8) | st.integers(-1, 8)).map(str)
+    command = draw(st.sampled_from(["classify", "trace", "molien", "gnk-basis", "hj", "theta"]))
+    if command in ("classify", "trace", "molien"):
+        # true on one value in six: the unknown kind "dihedral", any plane
+        # for G_(n,k), and a parameter count other than 2
+        rare = st.integers(0, 5).map(lambda x: x == 5)
+        group = "dihedral" if draw(rare) else draw(st.sampled_from(["gnk", "cyclic"]))
+        # G_(n,k) acts only on q = -1
+        plane = draw(st.sampled_from(_FUZZ_PLANES)) if group != "gnk" or draw(rare) else _FUZZ_QMINUS1
+        # mostly positive group parameters, so that most groups exist
+        param = st.integers(1, 6).map(str) | small
+        count = draw(st.sampled_from([0, 1, 3])) if draw(rare) else 2
+        argv = [command, *plane, "--group", group, *(draw(param) for _ in range(count))]
+        if command == "trace":
+            word = st.sampled_from(["g", "h", "g^2*h", "h*g^3", "e"]) | st.text("gh^*e1029- ", max_size=8)
+            argv += ["--element=" + draw(word), "--N", draw(size)]
+        elif command == "molien":
+            argv += ["--N", draw(size)]
+    elif command == "hj":
+        mode = draw(st.sampled_from(["expand", "typea", "typed", "nc"]))
+        argv = ["hj", mode, draw(small), draw(small)]
+    else:
+        flag = "--d" if command == "gnk-basis" else "--N"
+        argv = [command, draw(small), draw(small), flag, draw(size)]
+    return argv + ["--format", draw(st.sampled_from(["json", "text"]))]
+
+
+class _Stalled(Exception):
+    pass
+
+
+def _stalled(signum, frame):
+    raise _Stalled
+
+
+# no shrink phase: a stalled example costs its full 5 s on every replay
+@settings(max_examples=200, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.generate])
+@given(_fuzz_argv())
+@example(["gnk-basis", "-1", "3", "--d", "9"])
+def test_cli_fuzz_exits_cleanly(argv):
+    # every small input is answered (0) or rejected (1 from skewinv, 2 from
+    # argparse), with no traceback, within 5 s
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _stalled)
+    signal.alarm(5)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    except _Stalled:
+        pytest.fail(f"skewinv {' '.join(argv)} did not return in 5 s")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

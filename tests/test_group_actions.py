@@ -3,18 +3,19 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import matrix_oracle as oracle
 import pytest
 from conftest import key_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from matrix_oracle import InfiniteOrderError, Mat2, check_finite_order, validate_automorphism
 
 from skewinv.cli import _parse_element
-from skewinv.errors import InfiniteOrderError, ParameterError
+from skewinv.errors import InvalidAutomorphismError, ParameterError
 from skewinv.group_actions import (
     DihedralMQ,
     GroupSpec,
     RationalFunction,
-    _check_finite_order,
     enumerate_group,
     group_report,
     hdet,
@@ -23,17 +24,11 @@ from skewinv.group_actions import (
     is_small_closed_form,
     mono_mul,
     trace,
+    trace_closed_form,
     trace_series,
 )
 from skewinv.scalars import Cyclo, lcm
-from skewinv.skew_algebra import (
-    AlgebraElt,
-    AlgebraSpec,
-    Mat2,
-    apply_aut,
-    monomial_action,
-    validate_automorphism,
-)
+from skewinv.skew_algebra import AlgebraElt, AlgebraSpec, apply_aut, monomial_action
 
 QM1 = AlgebraSpec.quantum(Cyclo.from_rational(-1))
 Q5 = AlgebraSpec.quantum(Cyclo.root(5))
@@ -123,19 +118,18 @@ def test_gnk_presentation_relations(n, k):
 
 def test_trace_identity():
     for spec in (QM1, JORDAN, COMM, Q5):
-        for g in (IDENTITY, I2):
-            series, rf = trace(spec, g, 8)
+        for series, rf in (trace(spec, IDENTITY, 8), oracle.trace(spec, I2, 8)):
             assert series.integer_coeffs() == [d + 1 for d in range(9)]
             assert rf is not None
             assert rf.expand(8) == series
 
 
 def test_trace_antidiagonal_example():
-    for h in ((2, (False, 0, 0)), Mat2.antidiagonal(1, 1)):
-        series, rf = trace(QM1, h, 8)
+    for tr, h in ((trace, (2, (False, 0, 0))), (oracle.trace, Mat2.antidiagonal(1, 1))):
+        series, rf = tr(QM1, h, 8)
         assert series.integer_coeffs() == [1, 0, -1, 0, 1, 0, -1, 0, 1]
         assert rf.expand(8) == series
-        series_c, rf_c = trace(COMM, h, 8)
+        series_c, rf_c = tr(COMM, h, 8)
         assert series_c.integer_coeffs() == [1, 0, 1, 0, 1, 0, 1, 0, 1]
         assert rf_c.expand(8) == series_c
 
@@ -153,7 +147,7 @@ def test_trace_closed_forms_match_series_on_groups():
             series, rf = trace(G.ambient, g, 24)
             assert rf is not None
             assert rf.expand(24) == series
-    # the one formula 1/(1 - tr t + hdet t^2) on matrices, on all four planes:
+    # the oracle's one formula 1/(1 - tr t + hdet t^2) on matrices, on all four planes:
     # every element's matrix, diagonal and antidiagonal maps whose entries are
     # not roots of unity, general matrices on the commutative plane and
     # Jordan triangular maps [[a, b], [0, a]] with b != 0
@@ -165,11 +159,22 @@ def test_trace_closed_forms_match_series_on_groups():
                                   Mat2(w5, 1, 2, w3), Mat2(Fraction(1, 2), 3, -1, w3))]
     cases += [(JORDAN, Mat2(a, b, 0, a)) for a in (1, -1, w3, w5 ** 2) for b in (1, -2, w5)]
     for spec, M in cases:
-        series, rf = trace(spec, M, 10)
+        series, rf = oracle.trace(spec, M, 10)
         assert rf.expand(10) == series
 
 
 def test_trace_generic_path_agrees_with_mono_path(family_groups):
+    # every element of every family group: the pair's hdet, closed form and
+    # trace series through degree 6 against the oracle's on its matrix, and
+    # the trace series through degree 10 on four of the groups
+    for G in family_groups:
+        spec = G.ambient
+        for g in enumerate_group(G):
+            M = key_matrix(*g)
+            assert hdet(spec, g) == oracle.hdet(spec, M)
+            closed, closed_m = trace_closed_form(spec, g), oracle.trace_closed_form(spec, M)
+            assert closed.num == closed_m.num and closed.den == closed_m.den
+            assert trace_series(spec, g, 6) == oracle.trace_series(spec, M, 6)
     groups = [
         GroupSpec.gnk(3, 2),
         GroupSpec.dihedral(4, 3),
@@ -178,10 +183,12 @@ def test_trace_generic_path_agrees_with_mono_path(family_groups):
     ]
     for G in groups:
         for g in enumerate_group(G):
-            assert trace_series(G.ambient, key_matrix(*g), 10) == trace_series(G.ambient, g, 10)
+            assert trace_series(G.ambient, g, 10) == oracle.trace_series(G.ambient, key_matrix(*g), 10)
     # q = -1 is not a power of w_3, so antidiag(w_3, w_3) is read over w_6
     w3 = Cyclo.root(3)
-    assert trace_series(QM1, Mat2.antidiagonal(w3, w3), 10) == trace_series(QM1, (6, (False, 2, 2)), 10)
+    assert trace_series(QM1, (6, (False, 2, 2)), 10) == oracle.trace_series(
+        QM1, Mat2.antidiagonal(w3, w3), 10
+    )
     # apply_aut: every element's key against its matrix's substitution,
     # on the monomials of degree <= 4 (distinct coefficients)
     elt = AlgebraElt({(i, j): 10 * i + j + 1 for i in range(5) for j in range(5 - i)})
@@ -189,7 +196,7 @@ def test_trace_generic_path_agrees_with_mono_path(family_groups):
     cases += [(QM1, (6, (False, 2, 2)), Mat2.antidiagonal(w3, w3)),
               (QM1, (6, (False, 2, 4)), Mat2.antidiagonal(w3, w3 ** 2))]
     for spec, g, M in cases:
-        assert apply_aut(spec, g, elt) == apply_aut(spec, M, elt)
+        assert apply_aut(spec, g, elt) == oracle.apply_aut(spec, M, elt)
 
 
 def test_mono_product_matches_matrix_product():
@@ -244,37 +251,39 @@ def test_parsed_word_matches_matrix_product(case):
     assert key_matrix(*g) == M
     N = 6
     series, closed = trace(G.ambient, g, N)
-    series_m, closed_m = trace(G.ambient, M, N)
+    series_m, closed_m = oracle.trace(G.ambient, M, N)
     assert series == series_m
     assert closed.expand(N) == series == closed_m.expand(N)
 
 
 def test_jordan_triangular_trace():
     g = Mat2(Cyclo.root(3), 2, 0, Cyclo.root(3))
-    series, rf = trace(JORDAN, g, 10)
+    series, rf = oracle.trace(JORDAN, g, 10)
     w = Cyclo.root(3)
     assert all(series[d] == (d + 1) * w ** d for d in range(11))
     assert rf.expand(10) == series
 
 
 def test_quasi_reflection_examples():
-    assert is_quasi_reflection(Q5, Mat2(1, 0, 0, Cyclo.root(3)))
-    for g in ((3, (True, 1, 2)), key_matrix(3, (True, 1, 2))):
-        assert not is_quasi_reflection(QM1, g)
+    assert oracle.is_quasi_reflection(Q5, Mat2(1, 0, 0, Cyclo.root(3)))
+    assert not is_quasi_reflection(QM1, (3, (True, 1, 2)))
+    assert not oracle.is_quasi_reflection(QM1, key_matrix(3, (True, 1, 2)))
     w8 = Cyclo.root(8)
-    assert is_quasi_reflection(QM1, Mat2(0, w8, -(w8 ** -1), 0))  # bc = -1
+    assert oracle.is_quasi_reflection(QM1, Mat2(0, w8, -(w8 ** -1), 0))  # bc = -1
     assert is_quasi_reflection(QM1, (8, (False, 1, 3)))  # the same map: -w8^-1 = w8^3
-    for h in ((2, (False, 0, 0)), Mat2.antidiagonal(1, 1)):
-        assert is_quasi_reflection(COMM, h)  # Example: bc = 1
-        assert not is_quasi_reflection(QM1, h)
+    for qr, h in ((is_quasi_reflection, (2, (False, 0, 0))),
+                  (oracle.is_quasi_reflection, Mat2.antidiagonal(1, 1))):
+        assert qr(COMM, h)  # Example: bc = 1
+        assert not qr(QM1, h)
 
 
-def is_quasi_reflection_by_series(spec: AlgebraSpec, g, N: int = 12) -> bool:
-    """Series oracle: trace * (1 - t) must be geometric 1/(1 - lambda t), lambda != 1."""
-    M = g if isinstance(g, Mat2) else key_matrix(*g)
+def is_quasi_reflection_by_series(spec: AlgebraSpec, M: Mat2, traces) -> bool:
+    """Series oracle: M must be a valid automorphism of finite order, and its
+    trace series `traces`, times (1 - t), geometric 1/(1 - lambda t) with
+    lambda != 1."""
     validate_automorphism(spec, M)
-    _check_finite_order(M)
-    trace = trace_series(spec, g, N).coeffs
+    check_finite_order(M)
+    trace, N = traces.coeffs, traces.order
     series = [trace[0]] + [trace[d] - trace[d - 1] for d in range(1, N + 1)]  # times (1 - t)
     if not series[0].is_one():
         return False
@@ -300,7 +309,7 @@ def test_quasi_reflection_closed_form_agrees_with_series_oracle():
     for G in groups:
         for g in enumerate_group(G):
             assert is_quasi_reflection(G.ambient, g) == is_quasi_reflection_by_series(
-                G.ambient, g
+                G.ambient, key_matrix(*g), trace_series(G.ambient, g, 12)
             )
 
 
@@ -320,8 +329,10 @@ def test_quasi_reflection_matrices_agree_with_series_oracle():
                                   Mat2(1, 2, 0, -1), Mat2(2, -1, 3, -2))]
     cases += [(COMM, Mat2(x, y - x, 0, y)) for x in roots for y in roots]
     for spec, M in cases:
-        assert is_quasi_reflection(spec, M) == is_quasi_reflection_by_series(spec, M), (spec, M)
-    assert sum(is_quasi_reflection(spec, M) for spec, M in cases) > 20
+        assert oracle.is_quasi_reflection(spec, M) == is_quasi_reflection_by_series(
+            spec, M, oracle.trace_series(spec, M, 12)
+        ), (spec, M)
+    assert sum(oracle.is_quasi_reflection(spec, M) for spec, M in cases) > 20
 
 
 def _complex(x: Cyclo) -> complex:
@@ -360,7 +371,7 @@ def test_finite_order_rule_matches_power_search():
         if M.det().is_zero():
             continue
         try:
-            _check_finite_order(M)
+            check_finite_order(M)
             finite = True
         except InfiniteOrderError:
             finite = False
@@ -382,18 +393,18 @@ def test_infinite_order_matrices_exit_promptly():
     import skewinv
 
     src = os.path.dirname(os.path.dirname(skewinv.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
     code = (
-        "from skewinv.errors import InfiniteOrderError\n"
-        "from skewinv.group_actions import is_quasi_reflection\n"
+        "from matrix_oracle import InfiniteOrderError, Mat2, is_quasi_reflection\n"
         "from skewinv.scalars import Cyclo\n"
-        "from skewinv.skew_algebra import AlgebraSpec, Mat2\n"
+        "from skewinv.skew_algebra import AlgebraSpec\n"
         "for d in (1, 0):\n"
         "    try:\n"
         "        is_quasi_reflection(AlgebraSpec.commutative(), Mat2(Cyclo.root(120), 1, 1, d))\n"
         "    except InfiniteOrderError:\n"
         "        print('infinite', d)\n"
     )
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
     try:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=10, env=env)
@@ -404,29 +415,29 @@ def test_infinite_order_matrices_exit_promptly():
 
 def test_quasi_reflection_infinite_order():
     with pytest.raises(InfiniteOrderError):
-        is_quasi_reflection(Q5, Mat2.diagonal(2, 3))
+        oracle.is_quasi_reflection(Q5, Mat2.diagonal(2, 3))
     with pytest.raises(InfiniteOrderError):
-        is_quasi_reflection(JORDAN, Mat2(1, 1, 0, 1))
+        oracle.is_quasi_reflection(JORDAN, Mat2(1, 1, 0, 1))
 
 
 def test_hdet_examples():
-    assert hdet(QM1, IDENTITY).is_one() and hdet(QM1, I2).is_one()
+    assert hdet(QM1, IDENTITY).is_one() and oracle.hdet(QM1, I2).is_one()
     a, d = Cyclo.root(7, 2), Cyclo.root(7, 3)
-    assert hdet(Q5, Mat2.diagonal(a, d)) == a * d
+    assert oracle.hdet(Q5, Mat2.diagonal(a, d)) == a * d
     b, c = Cyclo.root(8), Cyclo.root(8, 5)
-    assert hdet(QM1, Mat2.antidiagonal(b, c)) == b * c
+    assert oracle.hdet(QM1, Mat2.antidiagonal(b, c)) == b * c
     w = Cyclo.root(4)
-    assert hdet(JORDAN, Mat2(w, 3, 0, w)) == w ** 2
+    assert oracle.hdet(JORDAN, Mat2(w, 3, 0, w)) == w ** 2
     # the key rule against the relation-line scalar of the matrix, on every
     # plane: diagonal keys, and antidiagonal ones where they act
     for spec in (QM1, COMM):
         for g in ((6, (False, 1, 2)), (6, (False, 2, 2))):
-            assert hdet(spec, g) == hdet(spec, key_matrix(*g))
+            assert hdet(spec, g) == oracle.hdet(spec, key_matrix(*g))
     for spec in (QM1, COMM, Q5):
         for g in ((6, (True, 1, 2)), (7, (True, 0, 3))):
-            assert hdet(spec, g) == hdet(spec, key_matrix(*g))
+            assert hdet(spec, g) == oracle.hdet(spec, key_matrix(*g))
     for g in ((4, (True, 1, 1)), (6, (True, 5, 5)), IDENTITY):
-        assert hdet(JORDAN, g) == hdet(JORDAN, key_matrix(*g))
+        assert hdet(JORDAN, g) == oracle.hdet(JORDAN, key_matrix(*g))
 
 
 def test_hdet_gnk_generators():
@@ -448,13 +459,13 @@ def test_hdet_gnk_generators():
 
 
 def test_hdet_multiplicative_on_groups():
-    # the matrix path on the product of the matrices, the key rule on the factors
+    # the oracle on the product of the matrices, the key rule on the factors
     for G in (GroupSpec.gnk(3, 2), GroupSpec.cyclic(5, 3, Q5), GroupSpec.cyclic(3, 1, JORDAN)):
         elems = enumerate_group(G)
         for x in elems[:6]:
             for y in elems[:6]:
                 xy = key_matrix(*x) @ key_matrix(*y)
-                assert hdet(G.ambient, xy) == hdet(G.ambient, x) * hdet(G.ambient, y)
+                assert oracle.hdet(G.ambient, xy) == hdet(G.ambient, x) * hdet(G.ambient, y)
 
 
 def test_group_report_examples():
@@ -514,13 +525,17 @@ def test_family_generators_are_automorphisms(family_groups):
 
 
 def test_key_classification_matches_matrices(family_groups):
-    # smallness and hdet triviality from the keys equal the public
-    # per-matrix rules on every element's matrix
+    # smallness and hdet triviality from the keys, and the quasi-reflection
+    # rule on each pair, equal the oracle's rules on every element's matrix
     for G in family_groups:
-        elems = [key_matrix(*g) for g in enumerate_group(G)]
-        assert is_small_brute(G) == (not any(is_quasi_reflection(G.ambient, g) for g in elems))
-        if not G.ambient.is_commutative:
-            assert group_report(G)["hdet_trivial"] == all(hdet(G.ambient, g).is_one() for g in elems)
+        spec = G.ambient
+        pairs = enumerate_group(G)
+        elems = [key_matrix(*g) for g in pairs]
+        reflections = [oracle.is_quasi_reflection(spec, M) for M in elems]
+        assert is_small_brute(G) == (not any(reflections))
+        assert [is_quasi_reflection(spec, g) for g in pairs] == reflections
+        if not spec.is_commutative:
+            assert group_report(G)["hdet_trivial"] == all(oracle.hdet(spec, M).is_one() for M in elems)
 
 
 def test_split_and_character_numbers_match_definition(family_groups):
@@ -579,26 +594,26 @@ def test_rational_function_expansion():
 def test_trace_generic_matrix_commutative():
     # classical Molien factor 1/det(1 - g t) against the act-on-basis path
     g = Mat2(1, 2, 1, 3)
-    series, rf = trace(COMM, g, 10)
+    series, rf = oracle.trace(COMM, g, 10)
     assert rf is not None
     assert rf.expand(10) == series
 
 
 def test_hdet_rejects_invalid():
-    from skewinv.errors import InvalidAutomorphismError
-
     with pytest.raises(InvalidAutomorphismError):
-        hdet(QM1, Mat2(1, 1, 0, 1))
+        oracle.hdet(QM1, Mat2(1, 1, 0, 1))
+    with pytest.raises(InvalidAutomorphismError):
+        hdet(Q5, (2, (False, 0, 0)))
 
 
 def test_finite_order_general_matrix_on_commutative_plane():
     # [[0,-1],[1,-1]] has order 3 over the rationals; the naive entry-order
     # bound would misreport it as infinite
     g = Mat2(0, -1, 1, -1)
-    assert not is_quasi_reflection(COMM, g)
+    assert not oracle.is_quasi_reflection(COMM, g)
     # an actual reflection written in a skewed basis: conjugate diag(1,-1)
     # by [[1,1],[0,1]] giving [[1,2],[0,-1]]... use u -> u, v -> 2u - v
     h = Mat2(1, 2, 0, -1)
-    assert is_quasi_reflection(COMM, h)
+    assert oracle.is_quasi_reflection(COMM, h)
     with pytest.raises(InfiniteOrderError):
-        is_quasi_reflection(COMM, Mat2(1, 1, 0, 1))
+        oracle.is_quasi_reflection(COMM, Mat2(1, 1, 0, 1))

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from conftest import key_matrix
+from conftest import from_factors, key_matrix, typeD_generators
 
 from skewinv import group_actions, invariants, scalars
 from skewinv.errors import InternalInconsistencyError, ParameterError
@@ -136,7 +136,7 @@ def test_molien_gnk73_closed_form():
     series = molien(QM1, GroupSpec.gnk(7, 3), 60)
     num = [0] * 52
     num[0], num[30], num[33], num[36], num[48], num[51] = 1, -1, -1, -1, 1, 1
-    den = RationalFunction.from_factors(
+    den = from_factors(
         [[1] + [0] * 14 + [-1], [1] + [0] * 8 + [-1], [1] + [0] * 20 + [-1], [1] + [0] * 11 + [-1]]
     ).den
     rf = RationalFunction(num, den)
@@ -617,7 +617,7 @@ def test_gnk_basis_elements_invariant():
 
 def test_typed_generators_invariant_and_complete():
     # confirms the (uv)^(2(m-q)) reading of the final type D generator
-    from skewinv.invariants import subalgebra_spans, typeD_generators
+    from skewinv.invariants import subalgebra_spans
 
     for m, q in ((3, 2), (5, 2), (5, 3), (7, 4)):
         G = GroupSpec.dihedral(m, q)
@@ -652,7 +652,7 @@ def test_theta_correspondence_2_1():
     assert rec["evidence"]["molien_equal"]
     assert rec["evidence"]["intermediate_transforms_ok"]
     # hilb k[x,y,z]/(xy - z^4) = (1 - t^8)/((1 - t^4)^2 (1 - t^2))
-    den = RationalFunction.from_factors(
+    den = from_factors(
         [[1, 0, 0, 0, -1], [1, 0, 0, 0, -1], [1, 0, -1]]
     ).den
     rf = RationalFunction([1, 0, 0, 0, 0, 0, 0, 0, -1], den)
