@@ -1,23 +1,24 @@
 """Smash products A # G and the degree-truncated Auslander criterion.
 
 The criterion element is gbar = sum of all group elements.  Per degree d we
-compute the dimension of the two-sided ideal slice span{x * seed * y} inside
+compute the dimension of the two-sided ideal slice I_d of a seed inside
 (A # G)_d and look for the degree from which the ideal is everything.
 
-Two exact paths compute the same dimensions:
- - a generic sparse span over Q(w_m), built degree by degree via
-   I_d = A_1 * I_(d-1) + (kG * seed) * (A # G)_(d - deg seed);
- - for seed gbar on a quantum plane, a character kernel: every group here is
-   monomial, with diagonal subgroup D of index 1 or 2, and in the basis
-   {monomial e_chi, monomial e_chi t} (e_chi the character idempotents of kD,
-   t antidiagonal) each spanning vector x gbar y has one or two nonzero
-   coordinates, so the rank is a node count or a union-find with root-of-unity
-   edge ratios (`ideal_dims` keeps the generic span for G_{n,k} with n even).
-The kernel reads the group's split (`GroupSpec.swap_key`) and character
-numbers (`GroupSpec.char_number`), and is cross-checked against the generic
-span in the tests.  The smash context indexes and multiplies elements by the
-group's exponent keys, and `smash_mul` hands the (m, key) pairs of
-`enumerate_group` to `apply_aut`.
+Every group here is monomial: G = D + tD with D the diagonal subgroup and t
+antidiagonal (`GroupSpec.swap_key`), and e_c are the character idempotents
+of kD, numbered by `GroupSpec.char_number`.  I is a right kD-module, so I_d
+splits into the blocks I_d e_c, each inside A_d e_c + A_d t e_c.  Two exact
+paths compute the same dimensions:
+ - the generic span, for any homogeneous seed: one sparse span over Q(w_m)
+   per block, built degree by degree as A_1 (I_(d-1) e_c) plus the seed
+   products of `smash_mul` projected onto the block;
+ - for seed gbar on a quantum plane, a character kernel: in the basis
+   {monomial e_c, monomial e_c t} each spanning vector x gbar y has one or two
+   nonzero coordinates, so the rank is a node count or a union-find with
+   root-of-unity edge ratios (`ideal_dims` keeps the generic span for
+   G_{n,k} with n even).
+The tests hold the kernel against the generic span, and that against the
+unsplit span of all of (A # G)_d.
 
 Each path yields one exact rank per degree, and `ideal_dims` stops reading at
 the first full degree s, where I_s = (A # G)_s.  That is a proof, not a
@@ -34,9 +35,10 @@ from math import gcd
 
 from .errors import ParameterError
 from .group_actions import Gnk, GroupSpec, enumerate_group, gnk_keys, mono_mul
-from .linalg import SpanBuilder
+from .linalg import EXACT, SpanBuilder
 from .scalars import Cyclo
-from .skew_algebra import AlgebraElt, AlgebraSpec, apply_aut, monomial_action, mul
+from .skew_algebra import (AlgebraElt, AlgebraSpec, apply_aut, monomial_action, mul, mul_cols,
+                           reorder_rule)
 
 # ---------------------------------------------------------------------------
 # smash product arithmetic
@@ -154,18 +156,10 @@ def smash_mul(G: GroupSpec, x: SmashElt, y: SmashElt) -> SmashElt:
         g = ctx.elements[gi]
         row = ctx.mult[gi]
         for hi, b in y.terms.items():
-            twisted = apply_aut(spec, g, b)
-            prod = mul(spec, a, twisted)
-            if prod.is_zero():
-                continue
-            t = row[hi]
-            cur = out.get(t)
-            s = prod if cur is None else cur + prod
-            if s.is_zero():
-                out.pop(t, None)
-            else:
-                out[t] = s
-    return SmashElt(ctx, out)
+            prod = mul(spec, a, apply_aut(spec, g, b))
+            cur = out.get(row[hi])
+            out[row[hi]] = prod if cur is None else cur + prod
+    return SmashElt(ctx, out)  # drops the parts that cancelled
 
 
 def gbar(G: GroupSpec) -> SmashElt:
@@ -187,12 +181,8 @@ def GH_element(G: GroupSpec, l: int, kind: str) -> SmashElt:
     for key in gnk_keys(v.n, v.k, kind == "G"):
         idx = ctx.index[key]
         coeff = Cyclo.root(G.root_order, l * key[slot])
-        cur = out.get(idx, AlgebraElt.zero()) + AlgebraElt.monomial(coeff, 0, 0)
-        if cur.is_zero():
-            out.pop(idx, None)
-        else:
-            out[idx] = cur
-    return SmashElt(ctx, out)
+        out[idx] = out.get(idx, AlgebraElt.zero()) + AlgebraElt.monomial(coeff, 0, 0)
+    return SmashElt(ctx, out)  # drops the parts that cancelled
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +192,8 @@ def GH_element(G: GroupSpec, l: int, kind: str) -> SmashElt:
 
 def _smash_degree(x: SmashElt) -> int | None:
     """Common homogeneous degree of all algebra parts, or None if mixed/zero."""
-    degs = set()
-    for a in x.terms.values():
-        if not a.is_homogeneous():
-            return None
-        degs.add(a.degree())
-    if len(degs) != 1:
-        return None
-    return degs.pop()
+    degs = {mon.degree for a in x.terms.values() for mon in a.terms}
+    return degs.pop() if len(degs) == 1 else None
 
 
 def ideal_dims(spec: AlgebraSpec, G: GroupSpec, seed: SmashElt, N: int) -> dict:
@@ -217,10 +201,11 @@ def ideal_dims(spec: AlgebraSpec, G: GroupSpec, seed: SmashElt, N: int) -> dict:
 
     `method` names the path: the character kernel for seed gbar on a quantum
     plane ("character_counting" when G is diagonal, "gh_basis_graph"
-    otherwise), else the generic span ("generic_span").  Slices are computed
-    only up to the first full degree s (I_s = (A # G)_s); the degrees past it
-    are full by proof, since A is generated in degree 1 and I_(d+1) contains
-    A_1 * I_d, which is (A # G)_(d+1) once I_d is full.
+    otherwise), else the generic span ("generic_span"), one exact span per
+    block I_d e_c of D's right characters.  Slices are computed only up to
+    the first full degree s (I_s = (A # G)_s); the degrees past it are full
+    by proof, since A is generated in degree 1 and I_(d+1) contains A_1 I_d,
+    which is (A # G)_(d+1) once I_d is full.
     """
     if spec != G.ambient:
         raise ParameterError("ideal_dims needs the group's own ambient algebra")
@@ -357,81 +342,118 @@ class _RatioDSU:
         self.rank += 1
 
 
-def _vectorize(x: SmashElt, d: int) -> dict[int, Cyclo]:
-    out: dict[int, Cyclo] = {}
+def _char_table(spec: AlgebraSpec, G: GroupSpec):
+    """(table, conj) for the blocks of `_ideal_dims_generic`: table[g], in
+    `G.keys` order, is (part, [chi_c(delta) for each c]) for g = delta (part
+    0) or t delta (part 1), delta in D, with chi_c D's character on u^p v^r
+    for `G.char_number(p, r)` = c (`monomial_action`; D acts faithfully on
+    A_1, so p, r < m meet every character), and conj[c] numbers
+    delta -> chi_c(t delta t^-1), the character on u^r v^p."""
+    m, t, char = G.root_order, G.swap_key, G.char_number
+    exps = {char(p, r): (p, r) for p in range(m) for r in range(m)}
+    exps = [exps[c] for c in range(len(exps))]  # (p, r) of one u^p v^r per character
+    t_inv = None if t is None else (False, -t[2] % m, -t[1] % m)
+    table = []
+    for key in G.keys:
+        _, a, b, _ = monomial_action(spec, m, key if key[0] else mono_mul(t_inv, key, m))
+        table.append((int(not key[0]), [Cyclo.root(m, a * p + b * r) for p, r in exps]))
+    return table, [char(r, p) for p, r in exps]
+
+
+def _project(table, x: SmashElt, cs) -> dict[int, dict]:
+    """x e_c for x of degree d and each character c in cs: with P parts,
+    column P i + part holds the coefficient of u^i v^(d-i) e_c (part 0) or
+    u^i v^(d-i) t e_c (part 1), since delta e_c = chi_c(delta) e_c."""
+    vecs: dict[int, dict] = {c: {} for c in cs}
+    parts = len(table) // len(table[0][1])
     for gi, a in x.terms.items():
-        for mon, c in a.terms.items():
-            out[gi * (d + 1) + mon.i] = c
-    return out
+        part, chi = table[gi]
+        for (i, _), coef in a.terms.items():
+            col = parts * i + part
+            for c, vec in vecs.items():
+                cur = vec.get(col)
+                vec[col] = coef * chi[c] if cur is None else cur + coef * chi[c]
+    return {c: EXACT.normalize(vec) for c, vec in vecs.items()}
 
 
-def _ideal_rows_generic(spec: AlgebraSpec, ctx: SmashContext, seed: SmashElt, e: int, N: int):
-    """Yield (degree, span builder, independent rows) for 0 <= d <= N.
+def _lifted(rule, span: SpanBuilder, parts: int):
+    """u x and v x for each row x of a block, by `mul_cols` on each part."""
+    for row in span.rows.values():
+        cols = [{i // parts: a for i, a in row.items() if i % parts == p} for p in range(parts)]
+        for x in ({1: 1}, {0: 1}):
+            outs = [{} for _ in cols]
+            for out, b in zip(outs, cols):
+                mul_cols(rule, out, x, 1, b)
+            yield EXACT.normalize({parts * i + p: a for p, out in enumerate(outs)
+                                   for i, a in out.items()})
 
-    Per degree: lifts u * I_(d-1) + v * I_(d-1) of the previous rows, plus the
-    right-kG-module closure of (kG seed) * A_(d-e), where the closure is taken
-    by right multiplication with the group generators (a worklist; exact since
-    the generators generate kG as an algebra).
-    """
-    G = ctx.G
-    gen_indices = [ctx.index[key] for key in G.generator_keys()]
-    # basis of the span of left group translates of the seed
-    left_span = SpanBuilder(full_reduce=False)
-    left_reps: list[SmashElt] = []
-    for gi in range(ctx.order):
-        cand = smash_mul(G, smash_from_group(G, gi), seed)
-        if left_span.add(_vectorize(cand, e)):
-            left_reps.append(cand)
-    u = AlgebraElt.monomial(1, 1, 0)
-    v = AlgebraElt.monomial(1, 0, 1)
-    prev_rows: list[SmashElt] = []
+
+def _ideal_blocks(spec: AlgebraSpec, ctx: SmashContext, seed: SmashElt, e: int, N: int):
+    """Yields, for 0 <= d <= N, the blocks of I_d: per character c the span of
+    I_d e_c in `_project` coordinates, or None once it is full."""
+    G, rule, (table, conj) = ctx.G, reorder_rule(spec), _char_table(spec, ctx.G)
+    parts, t = ctx.order // len(conj), ctx.index.get(G.swap_key)
+    t2 = None if t is None else table[ctx.mult[t][t]][1]  # chi_c(t^2)
+    left = [smash_mul(G, smash_from_group(G, gi), seed) for gi in range(ctx.order)]
+    reps = [y for i, y in enumerate(left) if y not in left[:i]]  # the distinct g seed
+    blocks: list = [SpanBuilder(full_reduce=False) for _ in conj]
     for d in range(N + 1):
-        span = SpanBuilder(full_reduce=False)
-        ambient = ctx.order * (d + 1)
-        rows: list[SmashElt] = []
-        worklist: list[SmashElt] = []
-
-        def add(x: SmashElt, close: bool):
-            if x.is_zero() or span.rank == ambient:
-                return
-            if span.add(_vectorize(x, d)):
-                rows.append(x)
-                if close:
-                    worklist.append(x)
-
-        for b in prev_rows:
-            add(SmashElt(ctx, {gi: mul(spec, u, a) for gi, a in b.terms.items()}), False)
-            add(SmashElt(ctx, {gi: mul(spec, v, a) for gi, a in b.terms.items()}), False)
-        if d >= e:
-            for rep in left_reps:
-                for i in range(d - e + 1):
-                    mono = AlgebraElt.monomial(1, i, d - e - i)
-                    add(smash_mul(G, rep, smash_from_algebra(G, mono)), True)
-            while worklist:
-                x = worklist.pop()
-                for gi in gen_indices:
-                    add(smash_mul(G, x, smash_from_group(G, gi)), True)
-        yield d, span, rows
-        prev_rows = rows
+        dim = parts * (d + 1)
+        prev = blocks
+        blocks = [None if b is None else SpanBuilder(full_reduce=False) for b in prev]
+        need = {c2 for c, b in enumerate(blocks) if b is not None for c2 in (c, conj[c])}
+        ys = [smash_mul(G, rep, smash_from_algebra(G, AlgebraElt.monomial(1, i, d - e - i)))
+              for rep in reps for i in range(d - e + 1)] if need else []
+        projs = [_project(table, y, need) for y in ys]
+        for c, span in enumerate(blocks):
+            if span is None:
+                continue
+            vecs = [proj[c] for proj in projs]
+            if t2 is not None:  # y t e_c: y e_conj[c], parts swapped, new part 0 times chi_c(t^2)
+                vecs += [{col ^ 1: a * t2[c] if col & 1 else a for col, a in proj[conj[c]].items()}
+                         for proj in projs]
+            # the lifts of I_(d-1) e_c first, then the seed vectors
+            for vec in (v for vs in (_lifted(rule, prev[c], parts), vecs) for v in vs):
+                if span.rank == dim:
+                    break
+                span.add(vec)
+            if span.rank == dim:
+                blocks[c] = None
+        yield blocks
 
 
 def _ideal_dims_generic(spec: AlgebraSpec, ctx: SmashContext, seed: SmashElt, e: int, N: int):
-    """Yields the rank of I_d for 0 <= d <= N (the reference for the fast paths)."""
-    for _, span, _ in _ideal_rows_generic(spec, ctx, seed, e, N):
-        yield span.rank
+    """Yields the rank of I_d, I = <seed> of degree e, for 0 <= d <= N: the
+    generic span, which reads nothing else about the seed, and the reference
+    for the character kernel.
+
+    I is two-sided, so a right kD-module for the diagonal subgroup D, abelian
+    with characters valued in mu_m.  Its idempotents
+    e_c = |D|^-1 sum_delta chi_c(delta)^-1 delta are orthogonal and sum to 1,
+    so I_d = (+)_c I_d e_c, and delta e_c = chi_c(delta) e_c puts I_d e_c in
+    A_d e_c + A_d t e_c, of dimension |G:D| (d + 1).  As
+    I_d = A_1 I_(d-1) + kG seed A_(d-e) kG, kG e_c = k e_c + k t e_c, and A
+    acts on the left while e_c acts on the right,
+        I_d e_c = A_1 (I_(d-1) e_c) + span{y e_c, y t e_c : y in kG seed A_(d-e)}.
+    `_ideal_blocks` builds each block by this recursion, one exact span per
+    character; a full block stays full, since A_1 A_(d-1) = A_d.  Each y is
+    projected once: y t e_c = y e_c' t for chi_c' = chi_c(t . t^-1), and
+    right multiplication by t swaps the two parts of a block, scaling the new
+    part 0 by chi_c(t^2) (t^2 lies in D)."""
+    for d, blocks in enumerate(_ideal_blocks(spec, ctx, seed, e, N)):
+        yield sum(ctx.order * (d + 1) // len(blocks) if b is None else b.rank for b in blocks)
 
 
 def ideal_contains(spec: AlgebraSpec, G: GroupSpec, seed: SmashElt, x: SmashElt) -> bool:
-    """Exact membership of x in the two-sided ideal of seed (generic span path)."""
+    """Exact membership of x in the two-sided ideal I of seed: x lies in I iff
+    x e_c lies in I e_c for every character c (see `_ideal_dims_generic`)."""
     ctx = smash_context(G)
     d = _smash_degree(x)
     if d is None:
         raise ParameterError("membership test needs a homogeneous element")
-    e = _smash_degree(seed)
-    for dd, span, _ in _ideal_rows_generic(spec, ctx, seed, e, d):
-        if dd == d:
-            return span.contains(_vectorize(x, d))
-    return False
+    *_, blocks = _ideal_blocks(spec, ctx, seed, _smash_degree(seed), d)
+    proj = _project(_char_table(spec, G)[0], x, [c for c, b in enumerate(blocks) if b is not None])
+    return all(b is None or b.contains(proj[c]) for c, b in enumerate(blocks))
 
 
 # ---------------------------------------------------------------------------

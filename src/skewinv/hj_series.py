@@ -246,6 +246,8 @@ def _validate_nc_common(ns: NCSeries) -> None:
 
 
 def nc_series(n: int, k: int) -> NCSeries:
+    if n < 1 or k < 1:
+        raise ParameterError(f"nc_series needs positive n, k, got ({n}, {k})")
     if n % 2 == 0 or k % 2 == 0:
         raise ParameterError(f"nc_series needs n, k odd, got ({n}, {k})")
     if gcd(n, k) != 1:

@@ -392,11 +392,11 @@ def theta_correspondence(n: int, k: int, N: int = 40) -> dict:
     Valid when the invariant ring is commutative (n or k even, coprime,
     k != 2 mod 4); returns the target group and series/degree evidence.
     """
+    G = GroupSpec.gnk(n, k)  # rejects n < 1 or k < 1 before any parity is read
     if n % 2 == 1 and k % 2 == 1:
         raise ParameterError(f"G_({n},{k}) has noncommutative invariants (n, k both odd)")
     if gcd(n, k) != 1 or k % 4 == 2:
         raise ParameterError(f"G_({n},{k}) is outside the classified commutative cases")
-    G = GroupSpec.gnk(n, k)
     qm1 = G.ambient
     comm = AlgebraSpec.commutative()
     if n <= 2:

@@ -4,9 +4,11 @@ import pytest
 
 from skewinv.auslander import (
     GH_element,
+    SmashContext,
     SmashElt,
     _ideal_dims_characters,
     _ideal_dims_generic,
+    _smash_degree,
     finite_dim_witness,
     gbar,
     ideal_contains,
@@ -19,13 +21,93 @@ from skewinv.auslander import (
 )
 from skewinv.errors import ParameterError
 from skewinv.group_actions import GroupSpec
+from skewinv.linalg import SpanBuilder
 from skewinv.scalars import Cyclo
-from skewinv.skew_algebra import AlgebraElt, AlgebraSpec
+from skewinv.skew_algebra import AlgebraElt, AlgebraSpec, mul
 
 QM1 = AlgebraSpec.quantum(Cyclo.from_rational(-1))
 Q5 = AlgebraSpec.quantum(Cyclo.root(5))
 JORDAN = AlgebraSpec.jordan()
 COMM = AlgebraSpec.commutative()
+
+
+# The oracle: the unsplit span of all of (A # G)_d, with its right-closure
+# worklist, which the split span of `auslander._ideal_dims_generic` replaced.
+def _vectorize(x: SmashElt, d: int) -> dict[int, Cyclo]:
+    out: dict[int, Cyclo] = {}
+    for gi, a in x.terms.items():
+        for mon, c in a.terms.items():
+            out[gi * (d + 1) + mon.i] = c
+    return out
+
+
+def _ideal_rows_generic(spec: AlgebraSpec, ctx: SmashContext, seed: SmashElt, e: int, N: int):
+    """Yield (degree, span builder, independent rows) for 0 <= d <= N.
+
+    Per degree: lifts u * I_(d-1) + v * I_(d-1) of the previous rows, plus the
+    right-kG-module closure of (kG seed) * A_(d-e), where the closure is taken
+    by right multiplication with the group generators (a worklist; exact since
+    the generators generate kG as an algebra).
+    """
+    G = ctx.G
+    gen_indices = [ctx.index[key] for key in G.generator_keys()]
+    # basis of the span of left group translates of the seed
+    left_span = SpanBuilder(full_reduce=False)
+    left_reps: list[SmashElt] = []
+    for gi in range(ctx.order):
+        cand = smash_mul(G, smash_from_group(G, gi), seed)
+        if left_span.add(_vectorize(cand, e)):
+            left_reps.append(cand)
+    u = AlgebraElt.monomial(1, 1, 0)
+    v = AlgebraElt.monomial(1, 0, 1)
+    prev_rows: list[SmashElt] = []
+    for d in range(N + 1):
+        span = SpanBuilder(full_reduce=False)
+        ambient = ctx.order * (d + 1)
+        rows: list[SmashElt] = []
+        worklist: list[SmashElt] = []
+
+        def add(x: SmashElt, close: bool):
+            if x.is_zero() or span.rank == ambient:
+                return
+            if span.add(_vectorize(x, d)):
+                rows.append(x)
+                if close:
+                    worklist.append(x)
+
+        for b in prev_rows:
+            add(SmashElt(ctx, {gi: mul(spec, u, a) for gi, a in b.terms.items()}), False)
+            add(SmashElt(ctx, {gi: mul(spec, v, a) for gi, a in b.terms.items()}), False)
+        if d >= e:
+            for rep in left_reps:
+                for i in range(d - e + 1):
+                    mono = AlgebraElt.monomial(1, i, d - e - i)
+                    add(smash_mul(G, rep, smash_from_algebra(G, mono)), True)
+            while worklist:
+                x = worklist.pop()
+                for gi in gen_indices:
+                    add(smash_mul(G, x, smash_from_group(G, gi)), True)
+        yield d, span, rows
+        prev_rows = rows
+
+
+def _unsplit_dims(spec: AlgebraSpec, ctx: SmashContext, seed: SmashElt, e: int, N: int):
+    """Yields the rank of I_d for 0 <= d <= N (the reference for the fast paths)."""
+    for _, span, _ in _ideal_rows_generic(spec, ctx, seed, e, N):
+        yield span.rank
+
+
+def _unsplit_contains(spec: AlgebraSpec, G: GroupSpec, seed: SmashElt, x: SmashElt) -> bool:
+    """Exact membership of x in the two-sided ideal of seed (generic span path)."""
+    ctx = smash_context(G)
+    d = _smash_degree(x)
+    if d is None:
+        raise ParameterError("membership test needs a homogeneous element")
+    e = _smash_degree(seed)
+    for dd, span, _ in _ideal_rows_generic(spec, ctx, seed, e, d):
+        if dd == d:
+            return span.contains(_vectorize(x, d))
+    return False
 
 
 def test_smash_mul_twist():
@@ -171,6 +253,59 @@ CHARACTER_CASES = [
 def test_character_path_matches_generic(spec, G, N):
     fast = list(_ideal_dims_characters(spec, G, N))
     assert fast == list(_ideal_dims_generic(spec, smash_context(G), gbar(G), 0, N))
+
+
+def _gh(kind, l):
+    def seed_of(G):
+        return GH_element(G, l, kind)
+
+    seed_of.__name__ = f"{kind}_{l}"
+    return seed_of
+
+
+# The split span against the unsplit oracle: every CHARACTER_CASES group, at
+# an N where the oracle takes at most 0.3 s and, where it can, past the first
+# full degree; Jordan 1/n(1,1) for n = 2..6; the trivial group; and on G_(3,1)
+# the seeds gbar, u g and the degree-0 G_1 and H_1.
+SPLIT_GRID = [
+    (spec, G, gbar, N) for (spec, G, _), N in zip(
+        CHARACTER_CASES, (6, 8, 7, 5, 2, 2, 8, 2, 6, 6, 4, 2, 3, 5, 5, 6, 7, 6, 4))
+] + [
+    (JORDAN, GroupSpec.cyclic(n, 1, JORDAN), gbar, n + 1) for n in range(2, 7)
+] + [
+    (Q5, GroupSpec.cyclic(1, 0, Q5), gbar, 3),
+    (QM1, GroupSpec.gnk(3, 1), _u_times_g, 4),
+    (QM1, GroupSpec.gnk(3, 1), _gh("G", 1), 4),
+    (QM1, GroupSpec.gnk(3, 1), _gh("H", 1), 4),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,G,seed_of,N", SPLIT_GRID,
+    ids=[f"{G.describe()}_{spec.describe()}_{seed_of.__name__}" for spec, G, seed_of, _ in
+         SPLIT_GRID],
+)
+def test_split_span_matches_unsplit(spec, G, seed_of, N):
+    seed = seed_of(G)
+    ctx = smash_context(G)
+    e = _smash_degree(seed)
+    split = list(_ideal_dims_generic(spec, ctx, seed, e, N))
+    assert split == list(_unsplit_dims(spec, ctx, seed, e, N))
+
+
+def test_ideal_contains_matches_unsplit():
+    # the identity is not in <gbar> in degree 0 for G_(3,1), and neither is u;
+    # gbar and u^4 v^4 are (4 is the first full degree)
+    G = GroupSpec.gnk(3, 1)
+    cases = [
+        (smash_from_algebra(G, AlgebraElt.one()), False),
+        (smash_from_algebra(G, AlgebraElt.monomial(1, 1, 0)), False),
+        (gbar(G), True),
+        (smash_from_algebra(G, AlgebraElt.monomial(1, 4, 4)), True),
+    ]
+    for x, member in cases:
+        assert ideal_contains(QM1, G, gbar(G), x) is member
+        assert _unsplit_contains(QM1, G, gbar(G), x) is member
 
 
 @pytest.mark.parametrize(

@@ -103,6 +103,15 @@ def test_hj_invalid_input_exit_code(capsys):
     assert "error" in err
 
 
+def test_hj_nc_rejects_non_positive_n_k(capsys):
+    # (3, -1) and (5, -3) passed the parity and gcd checks and raised an
+    # IndexError; (-1, -3) named the fraction -1/-2 that hj_expand was handed
+    for n, k in (("3", "-1"), ("5", "-3"), ("-1", "-3"), ("0", "3")):
+        code, out, err = run_cli(capsys, "hj", "nc", n, k)
+        assert (code, out) == (1, "")
+        assert err == f"error: nc_series needs positive n, k, got ({n}, {k})\n"
+
+
 def test_generators_with_verify(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -417,6 +426,18 @@ def test_auslander_generic_span_over_order_12(capsys):
     )
 
 
+def test_auslander_jordan_order_12_stdout_unchanged(capsys):
+    # the generic span on 1/12(1,1); the digest was recorded with the unsplit
+    # span of all of (A # G)_d, which took 2.9 s on a 2-core Xeon VM
+    code, out, err = run_cli(capsys, "auslander", "--algebra", "jordan", "--group", "cyclic",
+                             "12", "1")
+    assert code == 0
+    assert "(generic_span)" in err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a2d0b71d2cf94ed374bbedc17584ac2a24856583b31e36ef2ae6bae9d75976f7"
+    )
+
+
 def test_zero_denominators_rejected(capsys):
     code, out, err = run_cli(
         capsys, "molien", "--algebra", "quantum", "--q", "1/0", "--group", "cyclic", "3", "1",
@@ -484,6 +505,14 @@ def test_theta_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["target"] == {"kind": "cyclic", "order": 4, "weight": 3}
+
+
+def test_theta_rejects_non_positive_n_k(capsys):
+    # theta -1 -3 read the parity first and said "noncommutative invariants"
+    for n, k in (("-1", "-3"), ("-2", "1"), ("3", "0")):
+        code, out, err = run_cli(capsys, "theta", n, k, "--N", "4")
+        assert (code, out) == (1, "")
+        assert err == f"error: need positive n, k, got G_({n},{k})\n"
 
 
 def test_deterministic_output(capsys):
@@ -736,6 +765,8 @@ def _stalled(signum, frame):
           phases=[Phase.explicit, Phase.generate])
 @given(_fuzz_argv())
 @example(["gnk-basis", "-1", "3", "--d", "9"])
+@example(["hj", "nc", "3", "-1"])
+@example(["hj", "nc", "5", "-3"])
 def test_cli_fuzz_exits_cleanly(argv):
     # every small input is answered (0) or rejected (1 from skewinv, 2 from
     # argparse), with no traceback, within 5 s

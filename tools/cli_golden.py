@@ -14,6 +14,8 @@ Every command runs in this process through `skewinv.cli.main`, against the
  - `molien ... gnk n k --N 60` for n, k <= 12;
  - the default `auslander` on G_(n,k) with n odd and nk <= 15, and on
    1/n(1,a) over q = w_5 with n <= 9;
+ - the default `auslander` on the generic span (GENERIC_SPAN): G_(4,3),
+   G_(2,5) and G_(4,1), and Jordan 1/n(1,1) for n = 2..12;
  - `verify-pres` on Jordan n = 2..6 and the quantum and G_(7,3) fixtures at
    the default N, and on a rational q;
  - `trace ... --N 9` on the words of GNK_WORDS for G_(n,k) with n, k <= 7,
@@ -72,6 +74,11 @@ TEST_CLI_SINGLE = [
 LARGE_ORDER = [
     "generators --algebra qminus1 --group gnk 20 21 --verify 4",
     "theta 1 12 --N 60",
+]
+
+GENERIC_SPAN = [
+    *(f"auslander --algebra qminus1 --group gnk {n} {k}" for n, k in ((4, 3), (2, 5), (4, 1))),
+    *(f"auslander --algebra jordan --group cyclic {n} 1" for n in range(2, 13)),
 ]
 
 GNK_WORDS = ["e", "1", "g", "h", "g^0", "g^2*h", "h^3", "g*h*g", "h^2", "h*g^5*h"]
@@ -170,7 +177,8 @@ def commands() -> list[tuple[str, list[str], str | None]]:
     from workloads import draw_queries
 
     argvs = [argv for seed in range(10) for argv, _ in draw_queries(seed)]
-    argvs += [line.split() for line in README + TEST_CLI_SINGLE + LARGE_ORDER + VERIFY_PRES]
+    argvs += [line.split() for line in README + TEST_CLI_SINGLE + LARGE_ORDER + VERIFY_PRES
+                                         + GENERIC_SPAN]
     argvs += _test_cli_lists()
     argvs += [["molien", *QM1_GNK, str(n), str(k), "--N", "60"]
               for n in range(1, 13) for k in range(1, 13)]
