@@ -3,7 +3,7 @@ Jordan planes: Molien series, generators and presentations of the invariant
 rings, Hirzebruch-Jung continued-fraction data, and degree-truncated
 verification of the Auslander criterion on smash products."""
 
-from .scalars import Cyclo, IntPolynomial, Rational, cyclotomic_polynomial, gen_binomial
+from .scalars import Cyclo, cyclotomic_polynomial, gen_binomial
 from .skew_algebra import (
     AlgebraElt,
     AlgebraSpec,
@@ -20,7 +20,6 @@ from .group_actions import (
     Gnk,
     GroupSpec,
     RationalFunction,
-    TruncatedSeries,
     enumerate_group,
     group_report,
     hdet,

@@ -196,6 +196,20 @@ def _smash_degree(x: SmashElt) -> int | None:
     return degs.pop() if len(degs) == 1 else None
 
 
+def _seed_context(spec: AlgebraSpec, G: GroupSpec, seed: SmashElt) -> tuple[SmashContext, int]:
+    """(G's smash context, the seed's degree), once spec and seed are checked
+    to be G's own and the seed homogeneous."""
+    if spec != G.ambient:
+        raise ParameterError("an ideal of A # G needs the group's own ambient algebra")
+    ctx = smash_context(G)
+    if seed.ctx is not ctx:
+        raise ParameterError("seed does not belong to the given group spec")
+    e = _smash_degree(seed)
+    if e is None:
+        raise ParameterError("seed must be homogeneous (gbar has degree 0)")
+    return ctx, e
+
+
 def ideal_dims(spec: AlgebraSpec, G: GroupSpec, seed: SmashElt, N: int) -> dict:
     """Per-degree {ideal_dim, ambient_dim} of the two-sided ideal I of seed.
 
@@ -207,14 +221,7 @@ def ideal_dims(spec: AlgebraSpec, G: GroupSpec, seed: SmashElt, N: int) -> dict:
     by proof, since A is generated in degree 1 and I_(d+1) contains A_1 I_d,
     which is (A # G)_(d+1) once I_d is full.
     """
-    if spec != G.ambient:
-        raise ParameterError("ideal_dims needs the group's own ambient algebra")
-    ctx = smash_context(G)
-    if seed.ctx is not ctx:
-        raise ParameterError("seed does not belong to the given group spec")
-    e = _smash_degree(seed)
-    if e is None:
-        raise ParameterError("seed must be homogeneous (gbar has degree 0)")
+    ctx, e = _seed_context(spec, G, seed)
     v = G.variant
     # G_{n,k} with n even keeps the generic span (apart from a pair that
     # coincides with G_(n/2,k)): the benchmark's `auslander` jobs G_(4,1)
@@ -447,11 +454,12 @@ def _ideal_dims_generic(spec: AlgebraSpec, ctx: SmashContext, seed: SmashElt, e:
 def ideal_contains(spec: AlgebraSpec, G: GroupSpec, seed: SmashElt, x: SmashElt) -> bool:
     """Exact membership of x in the two-sided ideal I of seed: x lies in I iff
     x e_c lies in I e_c for every character c (see `_ideal_dims_generic`)."""
-    ctx = smash_context(G)
+    ctx, e = _seed_context(spec, G, seed)
+    _same_ctx(seed, x)
     d = _smash_degree(x)
     if d is None:
         raise ParameterError("membership test needs a homogeneous element")
-    *_, blocks = _ideal_blocks(spec, ctx, seed, _smash_degree(seed), d)
+    *_, blocks = _ideal_blocks(spec, ctx, seed, e, d)
     proj = _project(_char_table(spec, G)[0], x, [c for c, b in enumerate(blocks) if b is not None])
     return all(b is None or b.contains(proj[c]) for c, b in enumerate(blocks))
 

@@ -5,7 +5,8 @@ present, verify-pres, auslander, gnk-basis.  All numeric output is exact:
 rationals render as "p/q" strings, cyclotomic scalars as coefficient lists
 with their declared order.  Output is deterministic for identical requests
 (diagnostics such as wall time go to stderr).  Exit codes: 0 success (possibly
-with a not-found payload), 1 invalid parameters, 2 internal inconsistency.
+with a not-found payload), 1 invalid parameters, 2 internal inconsistency or
+an argv that argparse rejects (an unknown flag, a missing argument).
 """
 
 from __future__ import annotations
@@ -102,8 +103,8 @@ def _reject_commutative_for_classification(spec: AlgebraSpec) -> None:
         )
 
 
-def _series_json(series) -> list[str]:
-    return [str(c.rational_value()) if c.is_rational() else str(c) for c in series.coeffs]
+def _series_json(series: list) -> list[str]:
+    return [str(c) for c in series]
 
 
 def _emit(payload: dict, args) -> None:
@@ -459,6 +460,10 @@ def main(argv: list[str] | None = None) -> int:
     # `hj P Q` is shorthand for `hj expand P Q`
     if argv and argv[0] == "hj" and len(argv) >= 2 and argv[1].lstrip("-").isdigit():
         argv.insert(1, "expand")
+    # argparse reads a value such as -1/2 as a flag, so `--q V` becomes `--q=V`
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] == "--q" and not argv[i + 1].startswith("--"):
+            argv[i:i + 2] = [f"--q={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
         for flag in ("N", "d", "verify"):

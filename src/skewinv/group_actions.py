@@ -248,50 +248,8 @@ def enumerate_group(G: GroupSpec) -> list[GroupElt]:
 
 
 # ---------------------------------------------------------------------------
-# series types
+# trace series
 # ---------------------------------------------------------------------------
-
-
-class TruncatedSeries:
-    """Coefficients c_0 .. c_N of a power series, exact scalars."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = [_coerce_scalar(c) for c in coeffs]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, d: int) -> Cyclo:
-        return self.coeffs[d]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    __hash__ = None
-
-    def integer_coeffs(self) -> list[int]:
-        out = []
-        for d, c in enumerate(self.coeffs):
-            if not c.is_rational():
-                raise InternalInconsistencyError(
-                    f"series coefficient at degree {d} is not rational: {c}"
-                )
-            if c.den != 1:
-                raise InternalInconsistencyError(
-                    f"series coefficient at degree {d} is not an integer: {c}"
-                )
-            out.append(c.num[0])
-        return out
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({[str(c) for c in self.coeffs]})"
 
 
 class RationalFunction:
@@ -307,7 +265,8 @@ class RationalFunction:
         if self.den[0].is_zero():
             raise ParameterError("denominator must be invertible at t = 0")
 
-    def expand(self, N: int) -> TruncatedSeries:
+    def expand(self, N: int) -> list[Cyclo]:
+        """The power-series coefficients of degrees 0 .. N."""
         d0inv = self.den[0].inverse()
         coeffs: list[Cyclo] = []
         for n in range(N + 1):
@@ -315,18 +274,13 @@ class RationalFunction:
             for i in range(1, min(n, len(self.den) - 1) + 1):
                 acc = acc - self.den[i] * coeffs[n - i]
             coeffs.append(acc * d0inv)
-        return TruncatedSeries(coeffs)
+        return coeffs
 
     def to_json(self) -> dict:
         return {
             "num": [c.to_json() for c in self.num],
             "den": [c.to_json() for c in self.den],
         }
-
-
-# ---------------------------------------------------------------------------
-# trace series
-# ---------------------------------------------------------------------------
 
 
 def trace_closed_form(spec: AlgebraSpec, g: GroupElt) -> RationalFunction:
@@ -365,16 +319,14 @@ def trace_counts(spec: AlgebraSpec, m: int, key: MonoKey, d: int) -> list[int]:
     return counts
 
 
-def trace_series(spec: AlgebraSpec, g: GroupElt, N: int) -> TruncatedSeries:
-    """Trace of g = (m, key) on each degree d <= N, by its `trace_counts`."""
+def trace_series(spec: AlgebraSpec, g: GroupElt, N: int) -> list[Cyclo]:
+    """The traces of g = (m, key) on degrees 0 .. N, by its `trace_counts`."""
     m, key = g
-    return TruncatedSeries(
-        [Cyclo.from_power_counts(m, trace_counts(spec, m, key, d)) for d in range(N + 1)]
-    )
+    return [Cyclo.from_power_counts(m, trace_counts(spec, m, key, d)) for d in range(N + 1)]
 
 
-def trace(spec: AlgebraSpec, g: GroupElt, N: int) -> tuple[TruncatedSeries, RationalFunction]:
-    """(truncated trace series, closed form)."""
+def trace(spec: AlgebraSpec, g: GroupElt, N: int) -> tuple[list[Cyclo], RationalFunction]:
+    """(the traces on degrees 0 .. N, closed form)."""
     return trace_series(spec, g, N), trace_closed_form(spec, g)
 
 

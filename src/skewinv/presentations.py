@@ -397,7 +397,7 @@ def verify_presentation(
             method = "certified_mod_p"
     if method == "exact":
         quotient = truncated_quotient_dims(pres, N)
-    target = molien(spec, G, N).integer_coeffs()
+    target = molien(spec, G, N)
     mismatches = [d for d in range(N + 1) if quotient[d] != target[d]]
     return {
         "ok": evaluation["all_vanish"] and not mismatches,

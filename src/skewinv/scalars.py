@@ -29,8 +29,6 @@ from functools import lru_cache
 
 from .errors import CycloDivisionError, ParameterError
 
-Rational = Fraction
-
 
 def lcm(a: int, b: int) -> int:
     return a // math.gcd(a, b) * b
@@ -64,41 +62,17 @@ def euler_phi(m: int) -> int:
     return result
 
 
-class IntPolynomial:
-    """Dense polynomial over the integers; coeffs[i] is the x^i coefficient."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"IntPolynomial({list(self.coeffs)})"
-
-
 def _mobius(n: int) -> int:
     primes = prime_factors(n)
     return 0 if any(n % (q * q) == 0 for q in primes) else (-1) ** len(primes)
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(m: int) -> IntPolynomial:
-    """The m-th cyclotomic polynomial, monic of degree phi(m): the Moebius
-    product of (x^d - 1)^mu(m/d) over d | m.  The factors with mu = 1 multiply
-    in as binomials, then those with mu = -1 divide out exactly by synthetic
+def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
+    """The coefficients of the m-th cyclotomic polynomial, constant term
+    first: phi(m) + 1 ints, the last one 1.  Phi_m is the Moebius product of
+    (x^d - 1)^mu(m/d) over d | m.  The factors with mu = 1 multiply in as
+    binomials, then those with mu = -1 divide out exactly by synthetic
     division."""
     if m < 1:
         raise ParameterError(f"cyclotomic_polynomial needs m >= 1, got {m}")
@@ -114,13 +88,13 @@ def cyclotomic_polynomial(m: int) -> IntPolynomial:
             for i in range(len(q)):
                 q[i] = (q[i - d] if i >= d else 0) - poly[i]
             poly = q
-    return IntPolynomial(poly)
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
 def _phi_terms(m: int) -> list[tuple[int, int]]:
     """(j, c) for the nonzero coefficients c of x^j in Phi_m below its leading x^phi."""
-    cyc = cyclotomic_polynomial(m).coeffs
+    cyc = cyclotomic_polynomial(m)
     return [(j, c) for j, c in enumerate(cyc[:-1]) if c]
 
 

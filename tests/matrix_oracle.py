@@ -15,7 +15,7 @@ compares the two.
 from __future__ import annotations
 
 from skewinv.errors import InvalidAutomorphismError
-from skewinv.group_actions import RationalFunction, TruncatedSeries
+from skewinv.group_actions import RationalFunction
 from skewinv.scalars import Cyclo, lcm
 from skewinv.skew_algebra import AlgebraElt, AlgebraSpec, Monomial, _coerce_scalar, _shape_hint, mul
 
@@ -166,19 +166,17 @@ def trace_closed_form(spec: AlgebraSpec, M: Mat2) -> RationalFunction:
     return RationalFunction([one], [one, -(M.a + M.d), hdet(spec, M)])
 
 
-def trace_series(spec: AlgebraSpec, M: Mat2, N: int) -> TruncatedSeries:
-    """Trace of M on each degree d <= N, by acting on the monomial basis and
+def trace_series(spec: AlgebraSpec, M: Mat2, N: int) -> list[Cyclo]:
+    """The traces of M on degrees 0 .. N, by acting on the monomial basis and
     summing diagonals."""
     validate_automorphism(spec, M)
     pows_u, pows_v = image_powers(spec, M, N)
-    return TruncatedSeries(
-        [sum((mul(spec, pows_u[i], pows_v[d - i]).coefficient(i, d - i) for i in range(d + 1)),
-             Cyclo.zero()) for d in range(N + 1)]
-    )
+    return [sum((mul(spec, pows_u[i], pows_v[d - i]).coefficient(i, d - i) for i in range(d + 1)),
+                Cyclo.zero()) for d in range(N + 1)]
 
 
-def trace(spec: AlgebraSpec, M: Mat2, N: int) -> tuple[TruncatedSeries, RationalFunction]:
-    """(truncated trace series, closed form)."""
+def trace(spec: AlgebraSpec, M: Mat2, N: int) -> tuple[list[Cyclo], RationalFunction]:
+    """(the traces on degrees 0 .. N, closed form)."""
     return trace_series(spec, M, N), trace_closed_form(spec, M)
 
 

@@ -409,10 +409,22 @@ def test_verify_gh_identities_rejects_bad_input():
 
 
 def test_seed_must_be_homogeneous():
+    # ideal_dims and ideal_contains reject the same seeds, each with its reason
     G = GroupSpec.gnk(3, 1)
+    x = smash_from_algebra(G, AlgebraElt.monomial(1, 2, 2))
     mixed = smash_from_algebra(G, AlgebraElt.one() + AlgebraElt.monomial(1, 1, 0))
-    with pytest.raises(ParameterError):
-        ideal_dims(QM1, G, mixed, 4)
+    zero = SmashElt(smash_context(G), {})
+    foreign = gbar(GroupSpec.gnk(5, 1))
+    cases = [(QM1, mixed, "homogeneous"), (QM1, zero, "homogeneous"),
+             (QM1, foreign, "does not belong"), (Q5, gbar(G), "ambient algebra")]
+    for spec, seed, reason in cases:
+        with pytest.raises(ParameterError, match=reason):
+            ideal_dims(spec, G, seed, 4)
+        with pytest.raises(ParameterError, match=reason):
+            ideal_contains(spec, G, seed, x)
+    # and an element of another group's smash product
+    with pytest.raises(ParameterError, match="different group specs"):
+        ideal_contains(QM1, G, gbar(G), foreign)
 
 
 def test_ideal_contains_ukvk_G0():

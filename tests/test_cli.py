@@ -538,6 +538,21 @@ def test_quantum_algebra_flag(capsys):
     assert series == expected
 
 
+def test_negative_rational_q_reads_as_a_value(capsys):
+    # `--q -2/3` is not a flag: it prints what `--q=-2/3` prints
+    commands = [
+        ("molien", "--algebra", "quantum", "Q", "--group", "cyclic", "3", "1", "--N", "6"),
+        ("trace", "--algebra", "quantum", "Q", "--group", "cyclic", "3", "1", "--N", "6"),
+        ("present", "--family", "quantum", "--n", "5", "--a", "2", "Q"),
+        ("verify-pres", "--family", "quantum", "--n", "5", "--a", "2", "Q", "--N", "12"),
+    ]
+    for argv in commands:
+        i = argv.index("Q")
+        split = run_cli(capsys, *argv[:i], "--q", "-2/3", *argv[i + 1:])
+        joined = run_cli(capsys, *argv[:i], "--q=-2/3", *argv[i + 1:])
+        assert split[:2] == joined[:2] and split[0] == 0 and split[1], argv
+
+
 def test_text_format(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -119,7 +119,7 @@ def test_gnk_presentation_relations(n, k):
 def test_trace_identity():
     for spec in (QM1, JORDAN, COMM, Q5):
         for series, rf in (trace(spec, IDENTITY, 8), oracle.trace(spec, I2, 8)):
-            assert series.integer_coeffs() == [d + 1 for d in range(9)]
+            assert series == [d + 1 for d in range(9)]
             assert rf is not None
             assert rf.expand(8) == series
 
@@ -127,10 +127,10 @@ def test_trace_identity():
 def test_trace_antidiagonal_example():
     for tr, h in ((trace, (2, (False, 0, 0))), (oracle.trace, Mat2.antidiagonal(1, 1))):
         series, rf = tr(QM1, h, 8)
-        assert series.integer_coeffs() == [1, 0, -1, 0, 1, 0, -1, 0, 1]
+        assert series == [1, 0, -1, 0, 1, 0, -1, 0, 1]
         assert rf.expand(8) == series
         series_c, rf_c = tr(COMM, h, 8)
-        assert series_c.integer_coeffs() == [1, 0, 1, 0, 1, 0, 1, 0, 1]
+        assert series_c == [1, 0, 1, 0, 1, 0, 1, 0, 1]
         assert rf_c.expand(8) == series_c
 
 
@@ -283,7 +283,7 @@ def is_quasi_reflection_by_series(spec: AlgebraSpec, M: Mat2, traces) -> bool:
     lambda != 1."""
     validate_automorphism(spec, M)
     check_finite_order(M)
-    trace, N = traces.coeffs, traces.order
+    trace, N = traces, len(traces) - 1
     series = [trace[0]] + [trace[d] - trace[d - 1] for d in range(1, N + 1)]  # times (1 - t)
     if not series[0].is_one():
         return False
@@ -586,7 +586,7 @@ def test_jordan_group_needs_a_equal_1():
 
 def test_rational_function_expansion():
     rf = RationalFunction([1], [1, -2])
-    assert rf.expand(5).integer_coeffs() == [1, 2, 4, 8, 16, 32]
+    assert rf.expand(5) == [1, 2, 4, 8, 16, 32]
     with pytest.raises(ParameterError):
         RationalFunction([1], [0, 1])
 

@@ -8,6 +8,7 @@ Every command runs in this process through `skewinv.cli.main`, against the
  - every `draw_queries` query of seeds 0-9 (perfbench/workloads.py);
  - the README commands, with the `present | verify-pres --stdin` pipe, and
    `verify-pres --stdin` on presentations with one relation dropped;
+ - the `--format text` form of every README command and of the pipe;
  - every digest command of tests/test_cli.py;
  - two commands at a large root order (LARGE_ORDER), which reach the
    root-power and mixed-order scalar paths of the product spans;
@@ -99,6 +100,8 @@ VERIFY_PRES = [
 
 STDIN_ARGS = ["verify-pres", "--stdin", "--algebra", "jordan", "--group", "cyclic"]
 
+TEXT = ["--format", "text"]
+
 
 def run(argv: list[str], stdin: str | None = None) -> tuple[int, str]:
     """(exit code, stdout) of one in-process `cli.main` call."""
@@ -148,6 +151,7 @@ def _stdin_cases() -> list[tuple[str, list[str], str]]:
               "--group", "cyclic", "5", "2"]
     return [
         ("present --family jordan --n 3 | " + " ".join(argv), argv, text),
+        ("present --family jordan --n 3 | " + " ".join(argv + TEXT), argv + TEXT, text),
         ("<wrong coefficient> | " + " ".join(argv), argv, json.dumps(wrong)),
         ("<relation dropped> | " + " ".join(argv), argv,
          _dropped(["present", "--family", "jordan", "--n", "3"], -1)),
@@ -179,6 +183,7 @@ def commands() -> list[tuple[str, list[str], str | None]]:
     argvs = [argv for seed in range(10) for argv, _ in draw_queries(seed)]
     argvs += [line.split() for line in README + TEST_CLI_SINGLE + LARGE_ORDER + VERIFY_PRES
                                          + GENERIC_SPAN]
+    argvs += [line.split() + TEXT for line in README]
     argvs += _test_cli_lists()
     argvs += [["molien", *QM1_GNK, str(n), str(k), "--N", "60"]
               for n in range(1, 13) for k in range(1, 13)]
