@@ -453,9 +453,12 @@ def _ideal_dims_generic(spec: AlgebraSpec, ctx: SmashContext, seed: SmashElt, e:
 
 def ideal_contains(spec: AlgebraSpec, G: GroupSpec, seed: SmashElt, x: SmashElt) -> bool:
     """Exact membership of x in the two-sided ideal I of seed: x lies in I iff
-    x e_c lies in I e_c for every character c (see `_ideal_dims_generic`)."""
+    x e_c lies in I e_c for every character c (see `_ideal_dims_generic`).
+    0 lies in every ideal; any other x must be homogeneous."""
     ctx, e = _seed_context(spec, G, seed)
     _same_ctx(seed, x)
+    if x.is_zero():
+        return True
     d = _smash_degree(x)
     if d is None:
         raise ParameterError("membership test needs a homogeneous element")

@@ -11,8 +11,9 @@ exponent key (is_diagonal, e1, e2) of the matrix with entries w_m^e1, w_m^e2.
 has one home: `skew_algebra.monomial_action` is how a key acts on u^i v^j
 (and which keys act at all), and here `mono_mul` is the product rule,
 `trace_counts` the degree-d trace as an exponent histogram,
-`GroupSpec.swap_key` the split G = D + tD (D diagonal), `GroupSpec.char_number`
-the numbering of D's characters on monomials, `Gnk.coincides_with` the
+`GroupSpec.swap_key` the split G = D + tD (D diagonal), `GroupSpec.fixed_lattice`
+the exponents of the monomials that D fixes and `GroupSpec.char_number` the
+numbering of D's characters on monomials, `Gnk.coincides_with` the
 coincidence G_(n,k) = G_(n/2,k), and one rule each decides quasi-reflections
 and hdet.  `apply_aut`, the traces, hdet and the quasi-reflection test take
 a pair only; the general-matrix reference that the tests hold them against
@@ -203,18 +204,26 @@ class GroupSpec:
         return self._diagonal_split()[0]
 
     @property
-    def char_number(self):
-        """char_number(p, r): the number in 0..|D|-1 of D's character on
-        u^p v^r, 0 exactly when D fixes it.  diag(w^e1, w^e2) scales u^p v^r
-        by w^(e1 p + e2 r); the (p, r) that D fixes form the kernel L of
-        (p, r) -> character, of index |D| since D acts faithfully on u, v.
-        L has the basis (a, b), (0, c), with c > 0 and then a > 0 least and
-        0 <= b < c, which reduces (p, r) to (p mod a, (r - (p div a) b) mod c):
-        that pair, numbered (p mod a) c + (r - (p div a) b) mod c."""
+    def fixed_lattice(self) -> tuple[int, int, int]:
+        """(a, b, c): the basis (a, b), (0, c) of the lattice L of the (p, r)
+        with u^p v^r fixed by D, with c > 0 and then a > 0 least and
+        0 <= b < c.  diag(w^e1, w^e2) scales u^p v^r by w^(e1 p + e2 r), so L
+        is the kernel of (p, r) -> D's character on u^p v^r, of index |D|
+        since D acts faithfully on u, v.  (p, r) lies in L exactly when
+        a | p and r = (p / a) b (mod c)."""
         return self._diagonal_split()[1]
 
+    @property
+    def char_number(self):
+        """char_number(p, r): the number in 0..|D|-1 of D's character on
+        u^p v^r, 0 exactly when D fixes it.  `fixed_lattice` reduces (p, r)
+        to (p mod a, (r - (p div a) b) mod c): that pair, numbered
+        (p mod a) c + (r - (p div a) b) mod c."""
+        a, b, c = self.fixed_lattice
+        return lambda p, r: (p % a) * c + (r - p // a * b) % c
+
     def _diagonal_split(self):
-        """(swap_key, char_number), built on first use."""
+        """(swap_key, fixed_lattice), built on first use."""
         if self._split is None:
             m = self.root_order
             weights = [key[1:] for key in self.keys if key[0]]
@@ -225,7 +234,7 @@ class GroupSpec:
             c = next(r for r in range(1, m + 1) if trivial(0, r))
             a, b = next((p, r) for p in range(1, m + 1) for r in range(c) if trivial(p, r))
             swap = next((key for key in self.keys if not key[0]), None)
-            self._split = swap, lambda p, r: (p % a) * c + (r - p // a * b) % c
+            self._split = swap, (a, b, c)
         return self._split
 
     def describe(self) -> str:

@@ -4,11 +4,14 @@ Fixed spaces, Molien series and generator walks read the group's exponent
 keys, never its matrices: the diagonal subgroup's character numbers filter
 the monomial basis, and the swap key (when G has one) pins down the
 pairings between u^i v^j and u^j v^i.  `fixed_space` builds a basis of
-A^G_d with one element per pair, so `molien` counts the pairs, and the
-generator walk stops each degree at that count.  Generation is verified
-degree by degree: the span of products of generators must have the Molien
-dimension in every degree up to the bound, which a rank mod p certifies and
-the exact span decides otherwise.
+A^G_d with one element per pair of `_fixed_pairs`, and `molien` counts those
+pairs in closed form, from the lattice of exponents that D fixes.  The
+generator walk stops each degree at that count: it ranks the products of
+the generators found so far over F_p first, and decides over Q(w_m) only the
+degrees where that rank falls short.  Generation is verified degree by
+degree: the span of products of generators must have the Molien dimension
+in every degree up to the bound, which a rank mod p certifies and the exact
+span decides otherwise.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .group_actions import (
 )
 from .hj_series import nc_series, typeA_data, typeD_data
 from .linalg import EXACT, PrimeField, SpanBuilder
-from .scalars import Cyclo
+from .scalars import Cyclo, lcm
 from .skew_algebra import (
     AlgebraElt,
     AlgebraSpec,
@@ -96,13 +99,42 @@ def fixed_space(spec: AlgebraSpec, G: GroupSpec, d: int) -> list[AlgebraElt]:
 
 
 def molien(spec: AlgebraSpec, G: GroupSpec, N: int) -> list[int]:
-    """hilb A^G truncated at N, as the ints dim A^G_0 .. dim A^G_N, counted:
-    dim A^G_d is the number of pairs of `_fixed_pairs` in degree d, since
-    `fixed_space` builds one basis element of A^G_d from each.  No root of
-    unity is built; the tests hold it against the group average of the trace
-    series."""
+    """hilb A^G truncated at N, as the ints dim A^G_0 .. dim A^G_N: the
+    number of pairs of `_fixed_pairs` in each degree, since `fixed_space`
+    builds one basis element of A^G_d from each, counted in O(1) a degree.
+
+    With (a, b), (0, c) the basis of `G.fixed_lattice`, u^i v^(d-i) is
+    D-fixed iff i = a t with t (a + b) = d (mod c).  With g = gcd(a + b, c),
+    that has a solution only when g | d, and then the solutions are one class
+    of t mod c/g, so the D-fixed i in a range are an arithmetic progression.
+    Without a swap key they are counted over 0 <= i <= d.  With one, over
+    i < d/2, plus the middle monomial i = d/2 when it is D-fixed and the swap
+    scales it by w^0, exactly as `_fixed_pairs` decides.  No root of unity is
+    built; the tests hold the count against `_fixed_pairs` and against the
+    group average of the trace series."""
     _check_acts(spec, G)
-    return [sum(1 for _ in _fixed_pairs(spec, G, d)) for d in range(N + 1)]
+    a, b, c = G.fixed_lattice
+    g = gcd(a + b, c)
+    step = c // g
+    inverse = pow((a + b) // g, -1, step)
+    swap = G.swap_key
+    if swap is not None:
+        m, char = G.root_order, G.char_number
+        _, ea, eb, ec = monomial_action(spec, m, swap)
+    series = []
+    for d in range(N + 1):
+        if d % g:
+            series.append(0)
+            continue
+        first = d // g * inverse % step  # the least t >= 0 of the class
+        top = (d if swap is None else (d - 1) // 2) // a  # the largest t in range
+        count = (top - first) // step + 1 if top >= first else 0
+        if swap is not None and d % 2 == 0:
+            i = d // 2
+            if not char(i, i) and ((ea + eb) * i + ec * i * i) % m == 0:
+                count += 1
+        series.append(count)
+    return series
 
 
 def reynolds(spec: AlgebraSpec, G: GroupSpec, a: AlgebraElt, normalized: bool = True) -> AlgebraElt:
@@ -299,27 +331,52 @@ def _brute_force_generators(spec: AlgebraSpec, G: GroupSpec) -> list[AlgebraElt]
     """Deterministic degree-walk extraction: add fixed-space elements outside the
     current subalgebra span, in increasing degree and (i,j)-lex order.
 
-    Products of invariants are invariant, so spans[d] lies in A^G_d; once its
-    rank is the Molien count it is all of A^G_d, so no further product or
-    fixed element can raise it, and each degree stops there."""
+    Products of invariants are invariant, so the span of products in degree
+    d lies in A^G_d; once its rank is the Molien count it is all of A^G_d,
+    and no fixed element is taken there.  Each degree first ranks the
+    products over F_p, w_M -> zeta for M the lcm of the root order and the
+    order of q: that rank is at most the exact rank (see `subalgebra_spans`),
+    so when it reaches the count the degree is full, and the F_p span stops
+    there.  Otherwise the products are ranked exactly, each generator of
+    degree e times an exact basis of A^G_(d - e), which every earlier degree
+    spans in full by the end of its step: the exact span where one was
+    built, else `fixed_space(d - e)`.  The fixed elements outside that span
+    are then taken greedily, and their reductions join the F_p span."""
     cap = max(2 * len(G.keys), 8)
     target = molien(spec, G, cap)
-    rule = reorder_rule(spec)
+    M, dens = G.root_order, ()
+    if spec.is_quantum:
+        M, dens = lcm(M, spec.q.order), (spec.q.den,)
+    field = PrimeField(M, dens)
+    rule_p, rule = reorder_rule(spec, field), reorder_rule(spec)
     gens: list[AlgebraElt] = []
     cols: list[tuple[dict, int]] = []
-    spans = [SpanBuilder() for _ in range(cap + 1)]
-    spans[0].add({0: Cyclo.one()})
+    cols_p: list[tuple[dict, int]] = []
+    screen = [SpanBuilder(field=field) for _ in range(cap + 1)]
+    screen[0].add({0: 1})
+    exact: list[SpanBuilder | None] = [None] * (cap + 1)
     for d in range(1, cap + 1):
-        _add_products(rule, spans, cols, d, target[d])
-        if spans[d].rank < target[d]:
-            for vec in fixed_space(spec, G, d):
-                col = _degree_cols(vec)
-                if spans[d].add(col):
-                    gens.append(vec)
-                    cols.append((col, d))
-                    if spans[d].rank == target[d]:
-                        break
-        if spans[d].rank != target[d]:
+        _add_products(rule_p, screen, cols_p, d, target[d])
+        if screen[d].rank == target[d]:
+            continue
+        for _, e in cols:
+            if exact[d - e] is None:
+                exact[d - e] = full = SpanBuilder()
+                for vec in fixed_space(spec, G, d - e):
+                    full.add(_degree_cols(vec))
+        span = exact[d] = SpanBuilder()
+        _add_products(rule, exact, cols, d, target[d])
+        for vec in fixed_space(spec, G, d):
+            if span.rank == target[d]:
+                break
+            col = _degree_cols(vec)
+            if span.add(col):
+                gens.append(vec)
+                cols.append((col, d))
+                col_p = _degree_cols(vec, field)
+                cols_p.append((col_p, d))
+                screen[d].add(col_p)
+        if span.rank != target[d]:
             raise InternalInconsistencyError(
                 f"generator extraction falls short of Molien at degree {d} for {G.describe()}"
             )

@@ -447,15 +447,23 @@ class Cyclo:
 
     # -- rendering ---------------------------------------------------
 
+    def _coeff_texts(self) -> list[str]:
+        """Each power-basis coordinate as "p" or "p/q": the numerators
+        themselves when den is 1, with no `Fraction` built."""
+        d = self.den
+        if d == 1:
+            return [str(x) for x in self.num]
+        return [str(Fraction(x, d)) for x in self.num]
+
     def __str__(self) -> str:
         if self.is_rational():
-            return str(self.rational_value())
+            return str(self.num[0]) if self.den == 1 else str(self.rational_value())
         parts = []
-        for e, c in enumerate(self.coeffs):
-            if c == 0:
+        for e, (x, c) in enumerate(zip(self.num, self._coeff_texts())):
+            if not x:
                 continue
             if e == 0:
-                parts.append(str(c))
+                parts.append(c)
             elif e == 1:
                 parts.append(f"{c}*w")
             else:
@@ -463,10 +471,10 @@ class Cyclo:
         return "(" + " + ".join(parts) + f")@{self.order}"
 
     def __repr__(self) -> str:
-        return f"Cyclo({self.order}, {[str(c) for c in self.coeffs]})"
+        return f"Cyclo({self.order}, {self._coeff_texts()})"
 
     def to_json(self) -> dict:
-        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
+        return {"order": self.order, "coeffs": self._coeff_texts()}
 
 
 def gen_binomial(alpha, k: int) -> Fraction:

@@ -427,6 +427,17 @@ def test_seed_must_be_homogeneous():
         ideal_contains(QM1, G, gbar(G), foreign)
 
 
+def test_zero_lies_in_every_ideal():
+    # 0 is a member whatever the seed, while a mixed-degree x stays rejected
+    G = GroupSpec.gnk(3, 1)
+    zero = SmashElt(smash_context(G), {})
+    for seed in (gbar(G), smash_from_algebra(G, AlgebraElt.monomial(1, 2, 2))):
+        assert ideal_contains(QM1, G, seed, zero)
+    mixed = smash_from_algebra(G, AlgebraElt.one() + AlgebraElt.monomial(1, 1, 0))
+    with pytest.raises(ParameterError, match="homogeneous"):
+        ideal_contains(QM1, G, gbar(G), mixed)
+
+
 def test_ideal_contains_ukvk_G0():
     # membership of u^k v^k G_0 re-derived by the ideal-span linear system
     for n, k in ((3, 1), (5, 3)):

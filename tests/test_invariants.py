@@ -348,21 +348,73 @@ def test_brute_force_generators_unchanged():
     assert hashlib.sha256(blob).hexdigest() == BRUTE_FORCE_DIGEST
 
 
+def test_brute_force_walk_without_the_screen_gives_the_same_generators(monkeypatch):
+    # with the F_p products skipped, no degree is full before its exact step,
+    # so every degree with a nonzero count ranks its products exactly
+    plain = invariants._add_products
+    exact_degrees = []
+
+    def exact_only(rule, spans, gens, d, bound=None):
+        if spans[d].field is EXACT:
+            exact_degrees.append(d)
+            plain(rule, spans, gens, d, bound)
+
+    monkeypatch.setattr(invariants, "_add_products", exact_only)
+    G = GroupSpec.gnk(4, 3)
+    invariants._brute_force_generators(QM1, G)
+    cap = 2 * len(G.keys)
+    series = molien(QM1, G, cap)
+    assert exact_degrees == [d for d in range(1, cap + 1) if series[d]]
+    test_brute_force_generators_unchanged()
+
+
 def test_brute_force_walk_stops_each_degree_at_its_count(monkeypatch):
-    adds = []
+    adds = {"F_p": 0, "exact": 0}
     plain_add = SpanBuilder.add
 
     def counted_add(self, vec):
-        adds.append(1)
+        adds["exact" if self.field is EXACT else "F_p"] += 1
         return plain_add(self, vec)
 
     monkeypatch.setattr(SpanBuilder, "add", counted_add)
     G = GroupSpec.gnk(4, 3)
     gens = invariants._brute_force_generators(QM1, G)
+    degrees = sorted(g.degree() for g in gens)
+    assert degrees == [6, 12, 12, 12]
     # without the stop at the Molien count, every product and fixed vector
     # is added: 199 calls
-    assert len(adds) <= 60
-    assert sorted(g.degree() for g in gens) == [6, 12, 12, 12]
+    assert adds["F_p"] <= 60
+    # the exact step runs only at the generator degrees, where it stops at the count
+    series = molien(QM1, G, 12)
+    assert adds["exact"] <= sum(series[d] for d in set(degrees))
+
+
+def test_molien_closed_form_matches_fixed_pairs():
+    # the count of `_fixed_pairs` in every degree through 2|G| + 5: G_{n,k}
+    # with n, k <= 15, 1/n(1,a) on q = w3, w5, w7 with n <= 19, Jordan
+    # 1/n(1,1) with n <= 11, and the commutative groups that theta compares
+    # the G_{n,k} of that grid against
+    groups = [GroupSpec.gnk(n, k) for n in range(1, 16) for k in range(1, 16)]
+    for m in (3, 5, 7):
+        spec = AlgebraSpec.quantum(Cyclo.root(m))
+        groups += [GroupSpec.cyclic(1, 0, spec)]
+        groups += [GroupSpec.cyclic(n, a, spec) for n in range(2, 20) for a in range(1, n)]
+    groups += [GroupSpec.cyclic(n, 1 % n, JORDAN) for n in range(1, 12)]
+    targets = {}
+    for n in range(1, 16):
+        for k in range(1, 16):
+            if (n % 2 == 0 or k % 2 == 0) and gcd(n, k) == 1 and k % 4 != 2:
+                if n <= 2:
+                    G = GroupSpec.cyclic(2 * n * k, n * k + 1, COMM)
+                else:
+                    G = GroupSpec.dihedral(*theta_map(n, k))
+                targets[G.describe()] = G
+    groups += targets.values()
+    assert len(groups) == 820
+    for G in groups:
+        N = 2 * len(G.keys) + 5
+        pairs = [sum(1 for _ in invariants._fixed_pairs(G.ambient, G, d)) for d in range(N + 1)]
+        assert molien(G.ambient, G, N) == pairs, G
 
 
 def test_thm_812_auxiliary_identity():

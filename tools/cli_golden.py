@@ -12,6 +12,9 @@ Every command runs in this process through `skewinv.cli.main`, against the
  - every digest command of tests/test_cli.py;
  - two commands at a large root order (LARGE_ORDER), which reach the
    root-power and mixed-order scalar paths of the product spans;
+ - `generators ... --verify 4` on every G_(n,k) that the brute-force walk
+   serves with nk <= 24 (BRUTE_FORCE), and on G_(40,41);
+ - `molien ... --N 400` on one group of each family (MOLIEN_FAMILIES);
  - `molien ... gnk n k --N 60` for n, k <= 12;
  - the default `auslander` on G_(n,k) with n odd and nk <= 15, and on
    1/n(1,a) over q = w_5 with n <= 9;
@@ -35,12 +38,14 @@ import importlib.util
 import io
 import json
 import sys
+from math import gcd
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from skewinv.cli import main  # noqa: E402
+from skewinv.group_actions import GroupSpec, is_small_closed_form  # noqa: E402
 
 QM1_GNK = ["--algebra", "qminus1", "--group", "gnk"]
 
@@ -75,6 +80,22 @@ TEST_CLI_SINGLE = [
 LARGE_ORDER = [
     "generators --algebra qminus1 --group gnk 20 21 --verify 4",
     "theta 1 12 --N 60",
+]
+
+# the small G_(n,k) with gcd 1, n or k even and nk <= 24, and G_(1,1): the
+# groups whose generators the brute-force walk finds
+BRUTE_FORCE = [
+    f"generators --algebra qminus1 --group gnk {n} {k} --verify 4"
+    for n in range(1, 25) for k in range(1, 25)
+    if n * k <= 24 and gcd(n, k) == 1 and (n % 2 == 0 or k % 2 == 0 or n == k == 1)
+    and is_small_closed_form(GroupSpec.gnk(n, k))
+] + ["generators --algebra qminus1 --group gnk 40 41 --verify 4"]
+
+MOLIEN_FAMILIES = [
+    *(f"molien --algebra quantum --q root:{m} --group cyclic {n} {a} --N 400"
+      for m, n, a in ((3, 9, 4), (5, 10, 3), (7, 14, 5))),
+    "molien --algebra jordan --group cyclic 11 1 --N 400",
+    "molien --algebra qminus1 --group gnk 29 23 --N 400",
 ]
 
 GENERIC_SPAN = [
@@ -182,7 +203,7 @@ def commands() -> list[tuple[str, list[str], str | None]]:
 
     argvs = [argv for seed in range(10) for argv, _ in draw_queries(seed)]
     argvs += [line.split() for line in README + TEST_CLI_SINGLE + LARGE_ORDER + VERIFY_PRES
-                                         + GENERIC_SPAN]
+                                         + GENERIC_SPAN + BRUTE_FORCE + MOLIEN_FAMILIES]
     argvs += [line.split() + TEXT for line in README]
     argvs += _test_cli_lists()
     argvs += [["molien", *QM1_GNK, str(n), str(k), "--N", "60"]
