@@ -477,6 +477,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SkewInvError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     _emit(payload, args)
     return 0
 

@@ -231,8 +231,9 @@ def generator_set(spec: AlgebraSpec, G: GroupSpec) -> GeneratorSet:
 
 def _degree_cols(elt: AlgebraElt, field=EXACT) -> dict[int, Cyclo | int]:
     """Sparse coordinates of a homogeneous element in its degree's monomial
-    basis (column i for u^i v^(d-i)), mapped into `field`."""
-    return {mon.i: field.coerce(c) for mon, c in elt.terms.items()}
+    basis (column i for u^i v^(d-i)), mapped into `field`, with the entries
+    that vanish there dropped."""
+    return field.normalize({mon.i: field.coerce(c) for mon, c in elt.terms.items()})
 
 
 def _add_products(rule, spans: list[SpanBuilder], gens: list[tuple[dict, int]], d: int,
@@ -241,32 +242,53 @@ def _add_products(rule, spans: list[SpanBuilder], gens: list[tuple[dict, int]], 
     in spans[d - e], stopping once its rank reaches `bound` when one is given.
 
     Rows and generators are both column maps {i: c} of homogeneous elements
-    (column i for u^i v^(deg - i)) over the spans' field, and `rule` is the
+    (column i for u^i v^(deg - i)) over the spans' field, with no zero
+    entries (a generator that vanishes there is skipped), and `rule` is the
     plane's `reorder_rule` over that field, so `mul_cols` writes each product
-    as one column row of spans[d]."""
+    as one column row of spans[d].
+
+    On every plane v^j u^i = c_0 u^i v^j + (terms with a larger u-exponent),
+    with c_0 = q^(ij), or 1 on the Jordan and commutative planes.  So the
+    lowest column of b * g is min(b) + min(g), with the nonzero coefficient
+    b_lo * g_lo * c_0.  Given a bound, the pairs whose product starts at a
+    column where no row of spans[d] starts yet go first: each raises the rank,
+    as no stored row can clear that column.  The other pairs follow, newest
+    generator and highest row first.  Without a bound every product is ranked
+    and the order saves nothing, so the pairs come in generator and row
+    order.  The span of all the products, and so its reduced basis, does not
+    depend on the order."""
     span = spans[d]
     normalize = span.field.normalize
-    for g, e in gens:
-        if e > d:
-            continue
-        de = d - e
-        for row in spans[de].basis():
-            if span.rank == bound:
-                return
-            out: dict = {}
-            mul_cols(rule, out, row, de, g)
-            prod = normalize(out)
-            if prod:
-                span.add(prod)
+    pairs = [(row, d - e, g) for g, e in gens if e <= d and g for row in spans[d - e].basis()]
+    if bound is not None:
+        starts = {min(row) for row in span.basis()}
+        first, deferred = [], []
+        for pair in pairs:
+            col = min(pair[0]) + min(pair[2])
+            (deferred if col in starts else first).append(pair)
+            starts.add(col)
+        pairs = first + deferred[::-1]
+    for row, de, g in pairs:
+        if span.rank == bound:
+            return
+        out: dict = {}
+        mul_cols(rule, out, row, de, g)
+        prod = normalize(out)
+        if prod:
+            span.add(prod)
 
 
 def subalgebra_spans(
-    spec: AlgebraSpec, gens: list[AlgebraElt], N: int, field=EXACT
+    spec: AlgebraSpec, gens: list[AlgebraElt], N: int, field=EXACT,
+    bound: list[int] | None = None,
 ) -> list[SpanBuilder]:
     """Per-degree spans of the unital subalgebra generated by gens, degrees 0..N,
     over `field`, with the generator coefficients and q mapped into it.  Every
-    product of a span row by a generator is ranked (`_add_products`), with no
-    early stop.
+    product of a span row by a generator is ranked (`_add_products`).  Given
+    `bound`, a list of counts through N, degree d stops once its rank reaches
+    bound[d], so each span lies in the unbounded one; where every bound is at
+    least the unbounded rank, as the Molien series of a group that fixes
+    every generator is, the spans are the same.
 
     Over a `PrimeField` F_p reached from R = Z_(p)[w_M], with every coefficient
     and q in R, the degree-d span is the span of the reductions of all
@@ -282,7 +304,7 @@ def subalgebra_spans(
     rule = reorder_rule(spec, field)
     cols = [(_degree_cols(g, field), g.degree()) for g in gens]
     for d in range(1, N + 1):
-        _add_products(rule, spans, cols, d)
+        _add_products(rule, spans, cols, d, None if bound is None else bound[d])
     return spans
 
 

@@ -10,7 +10,8 @@ rho * (lower classes).  This returns exactly dim F_d / I_d while only ever
 storing spaces of the quotient's (small) dimensions.  The DP runs on sparse
 rows end to end, reduced by `linalg.rref` over a field: Q(w_m) for
 `truncated_quotient_dims`, and F_p for the upper bound that
-`verify_presentation` pins against the exact rank of the generators' span.
+`verify_presentation` pins against the exact rank of the generators' span,
+capped at the Molien count.
 """
 
 from __future__ import annotations
@@ -287,10 +288,15 @@ class _QuotientDP:
             axpy(out, pcols[offset + t], c)
         return out
 
-    def _word_class(self, word: FreeWord, d_start: int, start: dict) -> dict:
-        vec = start
-        d = d_start
-        for g in reversed(word):
+    def _word_class(self, word: FreeWord, d: int, b: int) -> dict:
+        """Class of word * (basis class b of Q_d); the last letter's class is
+        read straight off pcols, and the result must not be modified."""
+        if not word:
+            return {b: self.field.one}
+        g = word[-1]
+        d += self.pres.gen_degrees[g]
+        vec = self.pcols[d][self.offsets[d][g] + b]
+        for g in reversed(word[:-1]):
             vec = self._left_mul(g, vec, d)
             d += self.pres.gen_degrees[g]
         return vec
@@ -301,9 +307,12 @@ class _QuotientDP:
         their rank reaches vdim - lower[d] (`rref`'s `rank`): the rank of all of
         them is vdim - dim Q_d, at most that value, so the rows left unread lie
         in the span read, and the RREF, pcols and dims are those of all the
-        rows."""
+        rows.  The sparsest rows are read first: they are the cheapest to
+        reduce, and the RREF depends only on the span of the rows, so their
+        order changes the cost, not the result."""
         field = self.field
-        one, neg = field.one, field.neg
+        one, neg, normalize = field.one, field.neg, field.normalize
+        rel_degrees = [self.pres.word_degree(rel[0][1]) for rel in self.relations]
         while len(self.dims) <= N:
             d = len(self.dims)
             offsets = {}
@@ -314,19 +323,22 @@ class _QuotientDP:
                     vdim += self.dims[d - e]
             self.offsets.append(offsets)
             rel_rows: list[dict] = []
-            for rel in self.relations:
-                r = self.pres.word_degree(rel[0][1])
+            for rel, r in zip(self.relations, rel_degrees):
                 if r > d:
                     continue
                 for b in range(self.dims[d - r]):
+                    # the products are summed unreduced, as in `mul_cols`
                     row: dict = {}
                     for c, w in rel:
-                        tail_class = self._word_class(w[1:], d - r, {b: one})
                         base = offsets[w[0]]
-                        field.axpy(row, {base + t: z for t, z in tail_class.items()}, c)
+                        for t, z in self._word_class(w[1:], d - r, b).items():
+                            s = base + t
+                            row[s] = row[s] + c * z if s in row else c * z
+                    row = normalize(row)
                     if row:
                         rel_rows.append(row)
             rank = None if lower is None else vdim - lower[d]
+            rel_rows.sort(key=len)
             red, pivots = rref(rel_rows, field, rank) if rel_rows else ([], [])
             reduced = dict(zip(pivots, red))
             quot_index = {s: i for i, s in enumerate(s for s in range(vdim) if s not in reduced)}
@@ -376,28 +388,33 @@ def verify_presentation(
     when a two-sided bound pins them.  Reducing the relations mod p spans an
     ideal of no larger dimension, so the F_p quotient dimension U_d is at least
     Q_d.  When every relation vanishes, F_d/I_d maps onto the span of generator
-    products in A_d, whose exact rank L_d is then at most Q_d.  If L_d = U_d at
-    every degree through N, Q_d = U_d ("certified_mod_p"); otherwise the exact
-    DP runs ("exact").  Neither bound assumes that the generators generate or
-    that the Molien series is right.
+    products in A_d, whose exact rank L_d is then at most Q_d.  The lower bound
+    B_d is the rank of those products with each degree's span stopped at the
+    Molien count (`subalgebra_spans` with `bound`): B_d = min(L_d, dim A^G_d)
+    when the counts are right, and B_d <= L_d whatever they are, as the
+    stopped spans lie in the full ones.  If B_d = U_d at every degree through
+    N, Q_d = U_d ("certified_mod_p"); otherwise the exact DP runs ("exact").
+    Neither bound assumes that the generators generate, and neither needs the
+    Molien series: a count too small only lowers B_d, so the certificate
+    misses and the exact DP decides.
 
-    L is computed first, and the F_p DP takes it as `lower`: as
-    L_d <= Q_d <= U_d, each degree's elimination stops once U_d comes down to
-    L_d, and then every row left unread lies in the span read, so U_d and the
+    B is computed first, and the F_p DP takes it as `lower`: as
+    B_d <= Q_d <= U_d, each degree's elimination stops once U_d comes down to
+    B_d, and then every row left unread lies in the span read, so U_d and the
     DP state are those of the full elimination.  If U_d never comes down to
-    L_d, every row is read and the certificate misses as it would anyway.  The
+    B_d, every row is read and the certificate misses as it would anyway.  The
     exact fallback DP reads every row."""
+    target = molien(spec, G, N)
     assignment = generator_set(spec, G).generators
     evaluation = eval_relations(spec, assignment, pres)
     method = "exact"
     if evaluation["all_vanish"]:
-        lower = [span.rank for span in subalgebra_spans(spec, assignment, N)]
+        lower = [span.rank for span in subalgebra_spans(spec, assignment, N, bound=target)]
         quotient = truncated_quotient_dims(pres, N, _prime_field(pres), lower)
         if lower == quotient:
             method = "certified_mod_p"
     if method == "exact":
         quotient = truncated_quotient_dims(pres, N)
-    target = molien(spec, G, N)
     mismatches = [d for d in range(N + 1) if quotient[d] != target[d]]
     return {
         "ok": evaluation["all_vanish"] and not mismatches,

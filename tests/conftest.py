@@ -6,9 +6,10 @@ from matrix_oracle import Mat2
 
 from skewinv.group_actions import GroupSpec, RationalFunction
 from skewinv.hj_series import typeD_data
-from skewinv.invariants import _from_exponents
+from skewinv.invariants import _degree_cols, _from_exponents
+from skewinv.linalg import SpanBuilder
 from skewinv.scalars import Cyclo
-from skewinv.skew_algebra import AlgebraSpec
+from skewinv.skew_algebra import AlgebraSpec, mul_cols, reorder_rule
 
 
 def key_matrix(m, key):
@@ -49,3 +50,22 @@ def family_groups():
     groups += [GroupSpec.cyclic(n, 1, AlgebraSpec.jordan()) for n in range(2, 7)]
     groups += [GroupSpec.dihedral(m, q) for m in range(3, 8) for q in range(2, m) if gcd(m, q) == 1]
     return groups
+
+
+def spans_in_order(spec, gens, N, field):
+    """The spans of `invariants.subalgebra_spans` with no bound, each product
+    of a span row by a generator added in generator order and row order: the
+    oracle for the lead-first order of `_add_products`."""
+    spans = [SpanBuilder(field=field) for _ in range(N + 1)]
+    spans[0].add({0: field.one})
+    rule = reorder_rule(spec, field)
+    cols = [(_degree_cols(g, field), g.degree()) for g in gens]
+    for d in range(1, N + 1):
+        for g, e in cols:
+            if e > d:
+                continue
+            for row in spans[d - e].basis():
+                out: dict = {}
+                mul_cols(rule, out, row, d - e, g)
+                spans[d].add(field.normalize(out))
+    return spans

@@ -563,6 +563,24 @@ def test_text_format(capsys):
     assert "series" in out
 
 
+def test_memory_error_exits_with_one_line(capsys, monkeypatch):
+    from skewinv import cli
+
+    def out_of_memory(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_molien", out_of_memory)
+    # the parser is built once per process and holds the command functions
+    cli.build_parser.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "molien", *QM1_GNK, "3", "1", "--N", "4")
+    finally:
+        monkeypatch.undo()
+        cli.build_parser.cache_clear()
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+    assert run_cli(capsys, "molien", *QM1_GNK, "3", "1", "--N", "4")[0] == 0
+
+
 def test_negative_size_flags_rejected(capsys):
     cases = [
         ("molien", "--algebra", "qminus1", "--group", "gnk", "3", "1", "--N", "-1"),

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from conftest import from_factors, key_matrix, typeD_generators
+from conftest import from_factors, key_matrix, spans_in_order, typeD_generators
 
 from skewinv import group_actions, invariants, scalars
 from skewinv.errors import InternalInconsistencyError, ParameterError
@@ -389,6 +389,25 @@ def test_brute_force_walk_stops_each_degree_at_its_count(monkeypatch):
     assert adds["exact"] <= sum(series[d] for d in set(degrees))
 
 
+@pytest.mark.parametrize("n, k, most", [(8, 3, 110), (2, 7, 115)])
+def test_brute_force_walk_adds_products_lead_first(monkeypatch, n, k, most):
+    # a product whose lowest column no row starts at yet raises the rank, so
+    # the walk reaches each count in 106 F_p adds on G_(8,3) and 109 on
+    # G_(2,7), against 182 and 229 in generator and row order; deferring the
+    # other products in that order, not newest first, still takes 229 on G_(2,7)
+    adds = []
+    plain_add = SpanBuilder.add
+
+    def counted_add(self, vec):
+        if self.field is not EXACT:
+            adds.append(vec)
+        return plain_add(self, vec)
+
+    monkeypatch.setattr(SpanBuilder, "add", counted_add)
+    invariants._brute_force_generators(QM1, GroupSpec.gnk(n, k))
+    assert len(adds) <= most
+
+
 def test_molien_closed_form_matches_fixed_pairs():
     # the count of `_fixed_pairs` in every degree through 2|G| + 5: G_{n,k}
     # with n, k <= 15, 1/n(1,a) on q = w3, w5, w7 with n <= 19, Jordan
@@ -575,7 +594,8 @@ def _random_homogeneous(rng, d, M):
 )
 def test_product_rows_match_mul(spec, M):
     # each row b * g that _add_products writes equals mul(spec, b, g) in the
-    # columns of its degree, exactly and after the reduction to F_p
+    # columns of its degree, exactly and after the reduction to F_p; given a
+    # bound, the rows come lead-first, so they are compared as multisets
     rng = random.Random(M)
     for _ in range(25):
         db, dg = rng.randrange(5), rng.randrange(1, 5)
@@ -593,6 +613,29 @@ def test_product_rows_match_mul(spec, M):
             spans[d].rows = []
             invariants._add_products(reorder_rule(spec, field), spans, gens, d, bound=1)
             assert spans[d].rows == want[:1]
+            spans[d].rows = []
+            invariants._add_products(reorder_rule(spec, field), spans, gens, d, len(want) + 1)
+            got = spans[d].rows
+            assert len(got) == len(want) and all(got.count(row) == want.count(row) for row in want)
+
+
+@pytest.mark.parametrize(
+    "spec, M",
+    [(JORDAN, 4), (AlgebraSpec.quantum(Cyclo.root(3)), 6), (QM1, 12), (COMM, 5)],
+    ids=["jordan", "q_w3", "q_minus_1", "commutative"],
+)
+def test_product_starts_at_the_sum_of_the_lowest_columns(spec, M):
+    # v^j u^i = c_0 u^i v^j + (terms with a larger u-exponent), c_0 = q^(ij) or 1,
+    # so a * b has a nonzero coefficient at column min(a) + min(b) and none
+    # below it, exactly and after the reduction to F_p
+    rng = random.Random(100 + M)
+    for _ in range(40):
+        a, b = (_random_homogeneous(rng, rng.randrange(6), M) for _ in range(2))
+        for field in (EXACT, _generation_field(spec, [a, b])):
+            ca, cb, prod = (field.normalize(invariants._degree_cols(x, field))
+                            for x in (a, b, mul(spec, a, b)))
+            if ca and cb:
+                assert min(prod) == min(ca) + min(cb)
 
 
 def _generation_field(spec, gens):
@@ -619,6 +662,19 @@ def test_generation_certified_mod_p_matches_exact_ranks(spec, G, N):
     report = verify_generation(spec, G, gs, N)
     assert report["ok"] and report["span_method"] == "certified_mod_p"
     assert [row["span_dim"] for row in report["dims"]] == exact
+
+
+@pytest.mark.parametrize(
+    "spec,G,N", CERTIFIED_GENERATION, ids=[G.describe() for _, G, _ in CERTIFIED_GENERATION]
+)
+def test_lead_first_spans_match_the_in_order_spans(spec, G, N):
+    # reduced echelon forms are unique, and the Molien bound stops no span short
+    gens = generator_set(spec, G).generators
+    target = molien(spec, G, N)
+    for field in (EXACT, _generation_field(spec, gens)):
+        want = [s.basis() for s in spans_in_order(spec, gens, N, field)]
+        for bound in (None, target):
+            assert [s.basis() for s in subalgebra_spans(spec, gens, N, field, bound)] == want
 
 
 def test_generation_provenances_covered():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import spans_in_order
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +9,7 @@ from skewinv.errors import ParameterError
 from skewinv.group_actions import GroupSpec
 from skewinv import presentations
 from skewinv.invariants import generator_set, molien, subalgebra_spans
-from skewinv.linalg import SpanBuilder
+from skewinv.linalg import EXACT, SpanBuilder
 from skewinv.presentations import (
     FreeWord,
     Presentation,
@@ -484,6 +485,10 @@ DP_CASES = {
 }
 
 
+# the seven criterion-3 fixtures
+FIXTURES = {name: case for name, case in DP_CASES.items() if name != "jordan5"}
+
+
 def _product_ranks(spec, G, N):
     """L_d: the exact rank of the generators' products in each degree through N."""
     return [span.rank for span in subalgebra_spans(spec, generator_set(spec, G).generators, N)]
@@ -499,6 +504,63 @@ def test_quotient_dp_with_lower_bounds_keeps_its_state(case):
     bounded.extend_to(N, lower)
     assert bounded.dims == plain.dims == lower
     assert bounded.pcols == plain.pcols
+
+
+@pytest.mark.parametrize("case", FIXTURES.values(), ids=FIXTURES.keys())
+def test_lead_first_spans_of_the_fixtures_match_the_in_order_spans(case):
+    spec, G, _, N = case()
+    gens = generator_set(spec, G).generators
+    want = [s.basis() for s in spans_in_order(spec, gens, N, EXACT)]
+    for bound in (None, molien(spec, G, N)):
+        assert [s.basis() for s in subalgebra_spans(spec, gens, N, bound=bound)] == want
+
+
+def _drop_one(pres):
+    return [Presentation(pres.gen_degrees, pres.relations[:i] + pres.relations[i + 1:],
+                         pres.gen_names) for i in range(len(pres.relations))]
+
+
+@pytest.mark.parametrize("case", FIXTURES.values(), ids=FIXTURES.keys())
+def test_quotient_dp_does_not_depend_on_the_row_order(case):
+    # the reduced echelon form depends only on the span of the relation rows,
+    # whatever the order of the relations and so of the rows of equal length;
+    # at half the fixture's N, where the exact DP of a drop-one presentation
+    # stays cheap
+    _, _, full, N = case()
+    orders = (list, lambda rels: sorted(rels, key=len), lambda rels: rels[::-1])
+    for pres in [full] + _drop_one(full):
+        for field in (EXACT, _prime_field(full)):
+            states = []
+            for order in orders:
+                dp = _QuotientDP(pres, field)
+                dp.relations = order([[(field.coerce(c), w) for c, w in rel]
+                                      for rel in pres.relations])
+                dp.extend_to(N // 2)
+                states.append((dp.dims, dp.pcols))
+            assert states[0] == states[1] == states[2]
+
+
+@pytest.mark.parametrize("error", [-1, 1], ids=["count_too_small", "count_too_large"])
+def test_verify_presentation_needs_no_molien_count(monkeypatch, error):
+    # with one Molien count off by one the quotient dims are still the true
+    # ones: a count too small caps the lower bound below the F_p dims, so the
+    # exact DP decides, and a count too large caps nothing
+    spec, G, pres, N = _jordan_case(3)
+    honest = verify_presentation(spec, G, pres, N)
+    assert honest["ok"] and honest["quotient_method"] == "certified_mod_p"
+    wrong = 9
+    assert honest["invariant_dims"][wrong] > 0
+
+    def wrong_molien(spec, G, N):
+        series = molien(spec, G, N)
+        series[wrong] += error
+        return series
+
+    monkeypatch.setattr(presentations, "molien", wrong_molien)
+    report = verify_presentation(spec, G, pres, N)
+    assert report["quotient_dims"] == honest["quotient_dims"]
+    assert report["quotient_method"] == ("exact" if error < 0 else "certified_mod_p")
+    assert not report["ok"] and report["first_dimension_mismatch"] == wrong
 
 
 def test_quotient_dp_reads_every_row_when_the_bound_is_not_reached(monkeypatch):

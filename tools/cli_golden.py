@@ -20,7 +20,7 @@ Every command runs in this process through `skewinv.cli.main`, against the
    1/n(1,a) over q = w_5 with n <= 9;
  - the default `auslander` on the generic span (GENERIC_SPAN): G_(4,3),
    G_(2,5) and G_(4,1), and Jordan 1/n(1,1) for n = 2..12;
- - `verify-pres` on Jordan n = 2..6 and the quantum and G_(7,3) fixtures at
+ - `verify-pres` on Jordan n = 2..8 and the quantum and G_(7,3) fixtures at
    the default N, and on a rational q;
  - `trace ... --N 9` on the words of GNK_WORDS for G_(n,k) with n, k <= 7,
    on `g h g^3*h` for G_(20,20), G_(13,9) and G_(30,7), and on the words of
@@ -111,7 +111,7 @@ TRACE_PLANES = [["--algebra", "jordan"], ["--algebra", "commutative"], ["--algeb
                 ["--algebra", "quantum", "--q", "2/3"]]
 
 VERIFY_PRES = [
-    *(f"verify-pres --family jordan --n {n}" for n in range(2, 7)),
+    *(f"verify-pres --family jordan --n {n}" for n in range(2, 9)),
     "verify-pres --family quantum --n 5 --a 2 --q root:5",
     "verify-pres --family quantum --n 7 --a 3 --q root:7",
     "verify-pres --family quantum --n 4 --a 1 --q root:3",
